@@ -157,12 +157,6 @@ class GlAtlas:
         if W.v != self.v or W.q != self.q:
             raise ValueError("subspace does not live in GF(q)^(ml) of this atlas")
 
-    def orbit_rep_rows(self, d: int, key: tuple[int, ...]) -> tuple[int, ...]:
-        """Canonical representative rows of the Singer orbit containing key."""
-        action = self.singer
-        idx = action.orbit_index_map(d)[key]
-        return action.orbit_representatives(d)[idx].rep.rows
-
     def label_key_rows(self, rows: Sequence[int]) -> tuple:
         """Orbit-label key for a (not necessarily canonical) basis.
 
@@ -170,54 +164,35 @@ class GlAtlas:
         raising, so streaming sweeps can tally them.
         """
         tower = self.tower
-        mid = tower.mid
         k = len(rows)
         vecs = [tower.unflatten_packed(r) for r in rows]
-        ech: list[tuple[int, list[int], list[int]]] = []
-        deps: list[list[int]] = []
-        indep: list[int] = []
-        for idx, vec in enumerate(vecs):
-            cur = list(vec)
-            coef = [0] * k
-            coef[idx] = 1
-            for piv, evec, ecoef in ech:
-                c = cur[piv]
-                if c:
-                    cur = [mid.sub(a, mid.mul(c, b)) for a, b in zip(cur, evec)]
-                    coef = [mid.sub(a, mid.mul(c, b)) for a, b in zip(coef, ecoef)]
-            piv = next((i for i, c in enumerate(cur) if c), None)
-            if piv is None:
-                deps.append(coef)
-            else:
-                inv = mid.inv(cur[piv])
-                ech.append((piv, [mid.mul(inv, a) for a in cur],
-                            [mid.mul(inv, a) for a in coef]))
-                indep.append(idx)
-        j = len(ech)
+        echelon, deps = tower.mid_echelon(vecs)
+        j = len(echelon)
         if j == k:
             return ("full", k)
         if j == 1:
-            return self._line_key(k, vecs, indep[0])
+            key = self.line_form(vecs)
+            assert len(key) == k, "line-class ratios must stay independent"
+            return ("line", k, self.singer.orbit_containing(key).rep.rows)
         if j == k - 1:
-            coef = deps[0]
-            alphas = [mid.neg(coef[i]) for i in indep]
-            mid_to_pow = self.tower.ext.mid_to_pow
-            rows_l = [1] + [mid_to_pow[a] for a in alphas]
-            key = self._ops_l.rref(rows_l)
-            r = len(key) - 1
-            return ("mixed", k, r, self.orbit_rep_rows(len(key), key))
+            # the relation among the inputs spans 1 and the mixing coefficients
+            mid_to_pow = tower.ext.mid_to_pow
+            key = self._ops_l.rref([mid_to_pow[c] for c in deps[0]])
+            return ("mixed", k, len(key) - 1,
+                    self.singer.orbit_containing(key).rep.rows)
         return ("other", k, j)
 
-    def _line_key(self, k: int, vecs: list[tuple[int, ...]], base_idx: int) -> tuple:
+    def line_form(self, vecs: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """Canonical rows of the W in GF(q^l) with span(vecs) = W.x, vecs in one line.
+
+        x is the first nonzero vector, scaled to 1 at its pivot.
+        """
         mid = self.tower.mid
-        v0 = vecs[base_idx]
+        v0 = next(vec for vec in vecs if any(vec))
         piv = next(i for i, c in enumerate(v0) if c)
         inv = mid.inv(v0[piv])
         mid_to_pow = self.tower.ext.mid_to_pow
-        rows_l = [mid_to_pow[mid.mul(vec[piv], inv)] for vec in vecs]
-        key = self._ops_l.rref(rows_l)
-        assert len(key) == k, "line-class ratios must stay independent"
-        return ("line", k, self.orbit_rep_rows(k, key))
+        return self._ops_l.rref([mid_to_pow[mid.mul(vec[piv], inv)] for vec in vecs])
 
     def orbit_label(self, W: Subspace) -> OrbitLabel:
         """Orbit label of a subspace in an implemented class; loud otherwise."""
@@ -241,8 +216,8 @@ class GlAtlas:
         if not 1 <= r <= k - 1:
             raise ValueError(f"need 1 <= r <= k-1 coefficients, got {r}")
         mid_to_pow = self.tower.ext.mid_to_pow
-        rows_l = [1] + [mid_to_pow[u] for u in coeffs]
-        if len(self._ops_l.rref(rows_l)) != r + 1:
+        key = self._ops_l.rref([1] + [mid_to_pow[u] for u in coeffs])
+        if len(key) != r + 1:
             raise ValueError("1, u_1, ..., u_r must be independent over GF(q)")
         tower = self.tower
         rows = [tower.basis_vector(j) for j in range(k - 1)]
@@ -254,9 +229,7 @@ class GlAtlas:
         assert sub.dim == k
         cls = self.classify_rows(sub.rows)
         assert cls.span_dim == k - 1, "representative not in the expected class"
-        key = self._ops_l.rref([1] + [mid_to_pow[u] for u in coeffs])
-        orbit_idx = self.singer.orbit_index_map(r + 1)[key]
-        orbit = self.singer.orbit_representatives(r + 1)[orbit_idx]
+        orbit = self.singer.orbit_containing(key)
         label = OrbitLabel(k, k - 1, r, orbit.rep.rows)
         return OrbitRepresentative(k, r, orbit.u, tuple(coeffs), sub, label)
 
@@ -299,22 +272,17 @@ class GlAtlas:
         assert len(rows) == sub.dim - 1
         return tuple(ext.pow_to_mid[r] for r in rows)
 
-    def line_representatives(self, k: int) -> list[tuple]:
-        """(HOrbit, realized subspace W.Y_1) pairs indexing the span-1 orbits."""
-        out = []
-        for orbit in self.singer.orbit_representatives(k):
-            out.append((orbit, self.realize_line_block(orbit.rep)))
-        return out
+    def line_rows(self, rows_l: Sequence[int], gen: Sequence[int]) -> list[int]:
+        """Packed rows of W.g for W with basis rows_l in GF(q)^l = GF(q^l)."""
+        tower = self.tower
+        mid, pow_to_mid = tower.mid, tower.ext.pow_to_mid
+        return [tower.flatten_packed([mid.mul(pow_to_mid[row], g) for g in gen])
+                for row in rows_l]
 
     def realize_line_block(self, W: Subspace) -> Subspace:
         """The subspace W.Y_1 of GF(q)^(ml) for W a subspace of GF(q^l)."""
-        ext = self.tower.ext
-        rows = []
-        for row in W.rows:
-            vec = [0] * self.m
-            vec[0] = ext.pow_to_mid[row]
-            rows.append(self.tower.flatten_packed(vec))
-        return Subspace.span(self.q, self.v, rows)
+        Y1 = (1,) + (0,) * (self.m - 1)
+        return Subspace.span(self.q, self.v, self.line_rows(W.rows, Y1))
 
     def full_class_rep(self, k: int) -> Subspace:
         if not 1 <= k <= self.m:
@@ -372,15 +340,10 @@ class GlAtlas:
     def label_orbit_size(self, label: OrbitLabel) -> int:
         if label.kind == "full":
             return self.full_class_size(label.dim)
+        orbit = self.singer.orbit_containing(label.rep_rows)
         if label.kind == "line":
-            orbit = self._orbit_for_rep(label.dim, label.rep_rows)
             return self.line_orbit_size(orbit.u)
-        orbit = self._orbit_for_rep(label.r + 1, label.rep_rows)
         return self.orbit_size(label.dim, label.r, orbit.u)
-
-    def _orbit_for_rep(self, d: int, rep_rows: tuple[int, ...]):
-        idx = self.singer.orbit_index_map(d)[rep_rows]
-        return self.singer.orbit_representatives(d)[idx]
 
     # -- the GL action itself ----------------------------------------------------
 

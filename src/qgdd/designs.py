@@ -73,9 +73,6 @@ class DesignInstance:
     groups: tuple[Subspace, ...] | None = None
     claimed_lambda_by_class: tuple[tuple[str, int], ...] | None = None
 
-    def block_dims(self) -> tuple[int, ...]:
-        return self.K
-
 
 def make_explicit(items: Iterator[tuple[tuple[int, ...], int]]) -> ExplicitBlocks:
     merged: dict[tuple[int, ...], int] = {}
@@ -121,20 +118,12 @@ def expand_blocks(design: DesignInstance,
         return
     q, v = design.q, design.v
     atlas = gl_atlas(blocks.m, blocks.l, q)
-    mid = atlas.tower.mid
-    ext = atlas.tower.ext
+    ops = vector_ops(q, v)
     for lw in blocks.line_labels:
-        W = Subspace(q, blocks.l, lw.label.rep_rows)
-        members = atlas.singer.orbit_members(W)
-        ops = vector_ops(q, v)
+        members = list(atlas.singer.cycle(lw.label.rep_rows))
         for gen in _spread_generators(atlas):
             for member in members:
-                rows = []
-                for row in member:
-                    y = ext.pow_to_mid[row]
-                    vec = tuple(mid.mul(y, g) for g in gen)
-                    rows.append(atlas.tower.flatten_packed(vec))
-                yield ops.rref(rows), lw.multiplicity
+                yield ops.rref(atlas.line_rows(member, gen)), lw.multiplicity
     wanted = {lw.label.key(): lw.multiplicity for lw in blocks.labels}
     if blocks.omega_kk:
         wanted[("full", blocks.k)] = 1
@@ -181,16 +170,9 @@ def _spread_generators(atlas: GlAtlas) -> list[tuple[int, ...]]:
 def desarguesian_spread(m: int, l: int, q: int) -> list[Subspace]:
     """The GF(q^l)-lines of GF(q^l)^m as l-subspaces of GF(q)^(ml)."""
     atlas = gl_atlas(m, l, q)
-    mid = atlas.tower.mid
-    lines = []
-    for gen in _spread_generators(atlas):
-        rows = []
-        for t in range(l):
-            wt = atlas.tower.ext.wpow[t]
-            vec = tuple(mid.mul(wt, g) for g in gen)
-            rows.append(atlas.tower.flatten_packed(vec))
-        lines.append(Subspace.span(q, atlas.v, rows))
-    return lines
+    powers = [q ** t for t in range(l)]  # 1, w, ..., w^(l-1) in GF(q)^l
+    return [Subspace.span(q, atlas.v, atlas.line_rows(powers, gen))
+            for gen in _spread_generators(atlas)]
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +647,7 @@ class _ImplicitCoverage:
                     continue
                 w = rep_cache.get(key)
                 if w is None:
-                    rep = atlas.orbit_rep_rows(len(key), key)
+                    rep = atlas.singer.orbit_containing(key).rep.rows
                     w = weights.get(("mixed", 3, r, rep), 0)
                     rep_cache[key] = w
                 table[base + b] = w
@@ -689,34 +671,20 @@ class _ImplicitCoverage:
         if not self.line_weights:
             return 0
         atlas = self.atlas
-        pair_form = self._line_form(rows)
-        pair_orbit_rep = atlas.orbit_rep_rows(2, pair_form)
+        pair_form = atlas.line_form([atlas.tower.unflatten_packed(r) for r in rows])
+        pair_orbit_rep = atlas.singer.orbit_containing(pair_form).rep.rows
         total = 0
         for lw in self.line_weights:
             if lw.label.dim == 2:
                 if lw.label.rep_rows == pair_orbit_rep:
                     total += lw.multiplicity
                 continue
-            W = Subspace(atlas.q, atlas.l, lw.label.rep_rows)
             pair_sub = Subspace(atlas.q, atlas.l, pair_form)
-            for member in atlas.singer.orbit_members(W):
+            for member in atlas.singer.cycle(lw.label.rep_rows):
                 member_sub = Subspace(atlas.q, atlas.l, member)
                 if all(member_sub.contains_vector(r) for r in pair_sub.rows):
                     total += lw.multiplicity
         return total
-
-    def _line_form(self, rows: tuple[int, ...]) -> tuple[int, ...]:
-        """The 2-subspace of GF(q^l) whose line block equals the given pair."""
-        atlas = self.atlas
-        tower = atlas.tower
-        mid = tower.mid
-        vecs = [tower.unflatten_packed(r) for r in rows]
-        v0 = next(vec for vec in vecs if any(vec))
-        piv = next(i for i, c in enumerate(v0) if c)
-        inv = mid.inv(v0[piv])
-        mid_to_pow = tower.ext.mid_to_pow
-        return vector_ops(atlas.q, atlas.l).rref(
-            [mid_to_pow[mid.mul(vec[piv], inv)] for vec in vecs])
 
     def _mixed_coverage_k3(self, rows: tuple[int, ...]) -> int:
         atlas = self.atlas
@@ -729,22 +697,7 @@ class _ImplicitCoverage:
         table = self._pair_table
         if q == 2 and atlas.m == 2:
             return self._k3_fast_gf2_m2(t1, t2, x1, x2, table)
-        # echelonize (x1, x2) over GF(q^l) with transform tracking
-        ech: list[tuple[int, list[int], list[int]]] = []
-        for idx, vec in enumerate((x1, x2)):
-            cur = list(vec)
-            coef = [0, 0]
-            coef[idx] = 1
-            for piv, evec, ecoef in ech:
-                c = cur[piv]
-                if c:
-                    cur = [mid.sub(a, mid.mul(c, b)) for a, b in zip(cur, evec)]
-                    coef = [mid.sub(a, mid.mul(c, b)) for a, b in zip(coef, ecoef)]
-            piv = next(i for i, c in enumerate(cur) if c)
-            inv = mid.inv(cur[piv])
-            ech.append((piv, [mid.mul(inv, a) for a in cur],
-                        [mid.mul(inv, a) for a in coef]))
-        (p1, e1, tr1), (p2, e2, tr2) = ech
+        (p1, e1, tr1), (p2, e2, tr2) = tower.mid_echelon((x1, x2))[0]
         omega = self.omega_mult
         positions = complement_positions(Subspace(q, v, rows))
         total = 0
@@ -1124,16 +1077,17 @@ def design_to_json_dict(design: DesignInstance) -> dict:
              "multiplicity": mult}
             for rows, mult in blocks.items]}
     else:
+        action = singer_action(blocks.l, design.q)
+
         def label_dict(lw: LabelWeight) -> dict:
             rep = Subspace(design.q, blocks.l, lw.label.rep_rows)
             d: dict = {"rep": subspace_to_lists(rep),
                        "multiplicity": lw.multiplicity}
             if lw.label.kind == "mixed":
                 d["r"] = lw.label.r
-                d["u"] = _rep_stabilizer(design.q, blocks.l, lw.label)
             else:
                 d["dim"] = lw.label.dim
-                d["u"] = _rep_stabilizer(design.q, blocks.l, lw.label)
+            d["u"] = action.orbit_containing(lw.label.rep_rows).u
             return d
 
         out["blocks"] = {"implicit": {
@@ -1143,13 +1097,6 @@ def design_to_json_dict(design: DesignInstance) -> dict:
             "omega_kk": blocks.omega_kk,
         }}
     return out
-
-
-def _rep_stabilizer(q: int, l: int, label: OrbitLabel) -> int:
-    d = label.r + 1 if label.kind == "mixed" else label.dim
-    action = singer_action(l, q)
-    idx = action.orbit_index_map(d)[label.rep_rows]
-    return action.orbit_representatives(d)[idx].u
 
 
 def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
@@ -1211,9 +1158,7 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
 
 
 def _orbit_rep_check(q: int, l: int, rows: tuple[int, ...]) -> tuple[int, ...]:
-    action = singer_action(l, q)
-    d = len(rows)
-    idx = action.orbit_index_map(d).get(rows)
-    if idx is None:
-        raise ValueError("representative rows do not index a Singer orbit")
-    return action.orbit_representatives(d)[idx].rep.rows
+    try:
+        return singer_action(l, q).orbit_containing(rows).rep.rows
+    except KeyError:
+        raise ValueError("representative rows do not index a Singer orbit") from None

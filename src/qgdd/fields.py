@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(p^e) and the tower GF(q) < GF(q^l) < GF(q^(ml)).
+"""Exact arithmetic in GF(p^e), GF(q) < GF(q^l), and GF(q^l)^m as GF(q)^(ml).
 
 Field elements are ints in [0, p^e) encoding coefficient vectors over GF(p),
 constant coefficient in the least significant base-p digit.  Multiplication
@@ -12,7 +12,6 @@ vector addition is plain integer XOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -388,32 +387,12 @@ class Extension:
         self.pow_to_mid = pow_to_mid
         self.mid_to_pow = mid_to_pow
 
-    def coords(self, x: int) -> tuple[int, ...]:
-        """Coordinates of a GF(q^l) element over GF(q), packed order."""
-        return unpack_coords(self.mid_to_pow[x], self.q, self.degree)
-
-    def from_coords(self, coords: Sequence[int]) -> int:
-        return self.pow_to_mid[pack_coords(coords, self.q)]
-
-
-LEVELS = ("base", "middle", "top")
-
-
-@dataclass(frozen=True)
-class TowerElement:
-    """An element of a tower level given by coordinates over the level below."""
-
-    level: str
-    coords: tuple[int, ...]
-
 
 class FieldTower:
-    """The chain GF(q) < GF(q^l) < GF(q^(ml)) with fixed bases.
+    """GF(q) < GF(q^l) and the packed GF(q)^(ml) coordinate identification.
 
     GF(q)^(ml) is identified with GF(q^l)^m coordinate-wise: flat position
     (j*l + i) holds the coefficient of w^i in the j-th GF(q^l) coordinate.
-    The top field carries its own primitive element but is used only as a
-    coordinate space.
     """
 
     def __init__(self, p: int, q_exponent: int, l: int, m: int):
@@ -426,44 +405,12 @@ class FieldTower:
         self.base = finite_field(p, q_exponent)
         self.ext = Extension(self.base, l)
         self.mid = self.ext.mid
-        self.top = finite_field(p, q_exponent * l * m)
         self.q = self.base.order
         self.Q = self.mid.order
         self.v = m * l
         self._lmask = (1 << l) - 1 if self.q == 2 else None
 
-    def element(self, level: str, coords: Sequence[int]) -> TowerElement:
-        if level not in LEVELS:
-            raise ValueError(f"unknown level {level!r}")
-        coords = tuple(coords)
-        bound, length = {
-            "base": (self.p, self.q_exponent),
-            "middle": (self.q, self.l),
-            "top": (self.Q, self.m),
-        }[level]
-        if len(coords) != length:
-            raise ValueError(f"{level} element needs {length} coordinates")
-        if any(not 0 <= c < bound for c in coords):
-            raise ValueError("coordinate out of range for level below")
-        return TowerElement(level, coords)
-
     # -- the coordinate identification ---------------------------------------
-
-    def flatten(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """GF(q^l)^m vector -> GF(q)^(ml) coordinate vector."""
-        if len(vec) != self.m:
-            raise ValueError(f"expected {self.m} middle coordinates")
-        out: list[int] = []
-        for x in vec:
-            out.extend(self.ext.coords(x))
-        return tuple(out)
-
-    def unflatten(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.v:
-            raise ValueError(f"expected {self.v} base coordinates")
-        l = self.l
-        return tuple(self.ext.from_coords(vec[j * l:(j + 1) * l])
-                     for j in range(self.m))
 
     def flatten_packed(self, vec: Sequence[int]) -> int:
         if self._lmask is not None:
@@ -496,7 +443,7 @@ class FieldTower:
         return self.flatten_packed(vec)
 
     def mid_rank(self, vectors: list[tuple[int, ...]]) -> int:
-        """Rank over GF(q^l) of length-m middle vectors."""
+        """Rank over GF(q^l) of middle vectors of a common length."""
         mid = self.mid
         echelon: list[tuple[int, ...]] = []
         pivots: list[int] = []
@@ -516,6 +463,36 @@ class FieldTower:
                     break
         return rank
 
+    def mid_echelon(self, vectors: Sequence[Sequence[int]]
+                    ) -> tuple[list[tuple[int, list[int], list[int]]], list[list[int]]]:
+        """GF(q^l) echelon of middle vectors of a common length, transform tracked.
+
+        Returns (echelon, deps).  echelon holds (pivot, row, transform) per
+        independent input: row = sum(transform[i] * vectors[i]), scaled to 1
+        at the pivot.  deps holds, per dependent input j, coefficients c with
+        c[j] = 1, c[i] = 0 for i > j and sum(c[i] * vectors[i]) = 0.
+        """
+        mid = self.mid
+        n = len(vectors)
+        width = len(vectors[0]) if n else 0
+        rows: list[tuple[int, list[int]]] = []
+        deps: list[list[int]] = []
+        for idx, vec in enumerate(vectors):
+            # the input row followed by its transform, eliminated together
+            cur = list(vec) + [0] * n
+            cur[width + idx] = 1
+            for piv, ech in rows:
+                c = cur[piv]
+                if c:
+                    cur = [mid.sub(a, mid.mul(c, b)) for a, b in zip(cur, ech)]
+            piv = next((i for i in range(width) if cur[i]), None)
+            if piv is None:
+                deps.append(cur[width:])
+            else:
+                inv = mid.inv(cur[piv])
+                rows.append((piv, [mid.mul(inv, a) for a in cur]))
+        return [(piv, row[:width], row[width:]) for piv, row in rows], deps
+
     def span_dim_over_middle(self, subspace) -> int:
         """GF(q^l)-dimension of the GF(q^l)-span of a flattened subspace."""
         if subspace.v != self.v or subspace.q != self.q:
@@ -523,8 +500,7 @@ class FieldTower:
         return self.mid_rank([self.unflatten_packed(r) for r in subspace.rows])
 
     def __repr__(self) -> str:
-        return (f"FieldTower(GF({self.q}) < GF({self.q}^{self.l}) < "
-                f"GF({self.q}^{self.v}))")
+        return f"FieldTower(GF({self.q}) < GF({self.q}^{self.l}), m={self.m})"
 
 
 @lru_cache(maxsize=None)

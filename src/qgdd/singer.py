@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .fields import Extension, factorize, field_for_order
 from .matrices import LabeledIntMatrix
@@ -95,12 +96,7 @@ class SingerAction:
         self.mid = self.ext.mid
         self.order = self.mid.order - 1
         mid, ext = self.mid, self.ext
-        w = ext.w
-        self._mulw = [ext.mid_to_pow[mid.mul(w, x)] for x in ext.pow_to_mid]
-        self.matrix = tuple(
-            tuple(ext.coords(mid.mul(w, ext.wpow[j]))[i] for j in range(l))
-            for i in range(l)
-        )
+        self._mulw = [ext.mid_to_pow[mid.mul(ext.w, x)] for x in ext.pow_to_mid]
         self._ops = vector_ops(q, l)
         self._orbits: dict[int, list[HOrbit]] = {}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
@@ -114,35 +110,39 @@ class SingerAction:
         mulw = self._mulw
         return self._ops.rref([mulw[r] for r in rows])
 
+    def cycle(self, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The orbit of a canonical basis: rows, then its images until it returns."""
+        cur = rows
+        while True:
+            yield cur
+            cur = self.step(cur)
+            if cur == rows:
+                return
+
     def _stabilizer_exponent(self, length: int) -> int:
-        total = self.q ** self.l - 1
+        q = self.q
+        total = q ** self.l - 1
         assert total % length == 0, "orbit length does not divide q^l - 1"
         qu = total // length + 1
-        u = round(math.log(qu, self.q))
-        assert self.q ** u == qu, "orbit length incompatible with a subfield stabilizer"
+        u = 0
+        while qu % q == 0:
+            qu //= q
+            u += 1
+        assert qu == 1, "orbit length incompatible with a subfield stabilizer"
         return u
+
+    def _orbit(self, members: list[tuple[int, ...]]) -> HOrbit:
+        """The HOrbit of a complete member list, as cycle() yields it."""
+        return HOrbit(len(members[0]), self._stabilizer_exponent(len(members)),
+                      len(members), Subspace(self.q, self.l, min(members)))
 
     def orbit_of(self, W: Subspace) -> HOrbit:
         if W.v != self.l or W.q != self.q:
             raise ValueError("subspace does not match this Singer action")
-        start = W.rows
-        members = [start]
-        cur = self.step(start)
-        while cur != start:
-            members.append(cur)
-            cur = self.step(cur)
-        rep = min(members)
-        u = self._stabilizer_exponent(len(members))
-        return HOrbit(W.dim, u, len(members), Subspace(self.q, self.l, rep))
+        return self._orbit(list(self.cycle(W.rows)))
 
     def orbit_members(self, rep: Subspace) -> list[tuple[int, ...]]:
-        start = rep.rows
-        members = [start]
-        cur = self.step(start)
-        while cur != start:
-            members.append(cur)
-            cur = self.step(cur)
-        return members
+        return list(self.cycle(rep.rows))
 
     def orbit_representatives(self, d: int) -> list[HOrbit]:
         """One HOrbit per orbit of d-subspaces, sorted by (u, representative)."""
@@ -154,6 +154,15 @@ class SingerAction:
         self._ensure_orbits(d)
         return self._index[d]
 
+    def orbit_containing(self, rows: tuple[int, ...]) -> HOrbit:
+        """The orbit of the subspace with these canonical basis rows.
+
+        Raises KeyError for rows that are not a canonical basis.
+        """
+        d = len(rows)
+        self._ensure_orbits(d)
+        return self._orbits[d][self._index[d][rows]]
+
     def _ensure_orbits(self, d: int) -> None:
         if d in self._orbits:
             return
@@ -164,17 +173,10 @@ class SingerAction:
         for rows in iter_rref_bases(self.l, d, self.q):
             if rows in index:
                 continue
-            members = [rows]
-            cur = self.step(rows)
-            while cur != rows:
-                members.append(cur)
-                cur = self.step(cur)
-            idx = len(orbits)
+            members = list(self.cycle(rows))
             for key in members:
-                index[key] = idx
-            u = self._stabilizer_exponent(len(members))
-            orbits.append(HOrbit(d, u, len(members),
-                                 Subspace(self.q, self.l, min(members))))
+                index[key] = len(orbits)
+            orbits.append(self._orbit(members))
         order = sorted(range(len(orbits)), key=lambda i: orbits[i].sort_key())
         rank = {old: new for new, old in enumerate(order)}
         self._orbits[d] = [orbits[i] for i in order]

@@ -189,6 +189,22 @@ def test_column_independence_vs_rank_oracle():
         assert predicted == direct
 
 
+def test_line_form_inverts_line_rows():
+    # W.g read back through line_form is W divided by its first vector, so
+    # it lies in the Singer orbit of W whatever the spread line g
+    from qgdd.designs import _spread_generators
+    at = gl_atlas(2, 3, 2)
+    gens = _spread_generators(at)
+    for d in range(2, 4):
+        for rows in iter_rref_bases(3, d, 2):
+            orbit = at.singer.orbit_containing(rows)
+            for gen in gens:
+                image = at.line_rows(rows, gen)
+                form = at.line_form([at.tower.unflatten_packed(r) for r in image])
+                assert at.singer.orbit_containing(form) is orbit
+                assert at.label_key_rows(image) == ("line", d, orbit.rep.rows)
+
+
 def test_label_serialization_roundtrip(at23):
     w = at23.tower.ext.w
     rep = at23.t_representative(3, (w,))

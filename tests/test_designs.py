@@ -367,6 +367,14 @@ def test_json_strict_rejects_non_canonical():
     assert verify_design(lenient, mode="full").passed
 
 
+def test_orbit_rep_check_rejects_unknown_rows():
+    from qgdd.designs import _orbit_rep_check
+    assert _orbit_rep_check(2, 3, (1,)) == (1,)
+    assert _orbit_rep_check(2, 3, (2,)) == (1,)
+    with pytest.raises(ValueError, match="do not index a Singer orbit"):
+        _orbit_rep_check(2, 3, (3, 5))
+
+
 def test_json_rejects_unknown_version():
     d = complete_design(3, 2, 2)
     data = design_to_json_dict(d)

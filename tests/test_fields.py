@@ -21,12 +21,13 @@ def test_prime_power():
 def test_build_tower_smallest():
     t = build_tower(2, 1, 3, 2)
     assert (t.q, t.Q, t.v) == (2, 8, 6)
-    assert t.top.order == 64
+    assert finite_field(2, 6).order == 64
 
 
 def test_build_tower_identity():
     t = build_tower(2, 1, 1, 1)
-    assert t.base.order == t.mid.order == t.top.order == 2
+    assert t.base.order == t.mid.order == 2
+    assert t.v == 1
 
 
 def test_build_tower_orders_gf3():
@@ -34,7 +35,8 @@ def test_build_tower_orders_gf3():
     t = build_tower(3, 1, 4, 2)
     assert t.mid.order == 81
     assert t.mid.element_order(t.mid.primitive) == 80
-    assert t.top.element_order(t.top.primitive) == 6560
+    top = finite_field(3, 8)
+    assert top.element_order(top.primitive) == 6560
 
 
 def test_build_tower_rejects_bad_input():
@@ -88,9 +90,9 @@ def test_flatten_examples():
     t = build_tower(2, 1, 3, 2)
     w = t.ext.w
     w2 = t.mid.mul(w, w)
-    assert t.flatten((1, 0)) == (1, 0, 0, 0, 0, 0)
-    assert t.flatten((w, 0)) == (0, 1, 0, 0, 0, 0)
-    assert t.flatten((t.mid.add(w, w2), w2)) == (0, 1, 1, 0, 0, 1)
+    assert t.flatten_packed((1, 0)) == 0b000001
+    assert t.flatten_packed((w, 0)) == 0b000010
+    assert t.flatten_packed((t.mid.add(w, w2), w2)) == 0b100110
 
 
 def test_flatten_roundtrip_exhaustive():
@@ -98,19 +100,7 @@ def test_flatten_roundtrip_exhaustive():
     for x in range(t.Q):
         for y in range(t.Q):
             vec = (x, y)
-            assert t.unflatten(t.flatten(vec)) == vec
             assert t.unflatten_packed(t.flatten_packed(vec)) == vec
-
-
-def test_tower_element_roundtrip():
-    t = build_tower(2, 1, 3, 2)
-    el = t.element("top", (3, 5))
-    flat = t.flatten(el.coords)
-    assert t.element("top", t.unflatten(flat)) == el
-    with pytest.raises(ValueError):
-        t.element("middle", (1, 2))  # wrong length
-    with pytest.raises(ValueError):
-        t.element("top", (9, 0))  # coordinate out of range
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,6 +140,56 @@ def test_span_dim_over_middle_examples():
     assert t.span_dim_over_middle(Subspace.span(2, 6, [Y1, Y2])) == 2
     assert t.span_dim_over_middle(
         Subspace.span(2, 6, [Y1, Y2, x2Y1_plus_x2Y2])) == 2
+
+
+# (tower, vector length): GF(8)^3, GF(9)^2, and length-3 columns over GF(16)
+ECHELON_CASES = ((build_tower(2, 1, 3, 3), 3), (build_tower(3, 1, 2, 2), 2),
+                 (build_tower(2, 1, 4, 2), 3))
+
+
+def _combination(mid, coef, vecs):
+    out = [0] * len(vecs[0])
+    for c, vec in zip(coef, vecs):
+        out = [mid.add(a, mid.mul(c, b)) for a, b in zip(out, vec)]
+    return out
+
+
+@st.composite
+def middle_vectors(draw):
+    tower, width = draw(st.sampled_from(ECHELON_CASES))
+    entry = st.integers(0, tower.Q - 1)
+    vecs = draw(st.lists(st.tuples(*[entry] * width), min_size=1, max_size=5))
+    # insert GF(q^l)-combinations of the vectors so dependencies are common
+    for _ in range(draw(st.integers(0, 2))):
+        coef = draw(st.lists(entry, min_size=len(vecs), max_size=len(vecs)))
+        combo = tuple(_combination(tower.mid, coef, vecs))
+        vecs.insert(draw(st.integers(0, len(vecs))), combo)
+    return tower, vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(middle_vectors())
+def test_mid_echelon_vs_rank_and_relations(case):
+    tower, vecs = case
+    mid = tower.mid
+    echelon, deps = tower.mid_echelon(vecs)
+    assert len(echelon) == tower.mid_rank(vecs)
+    assert len(echelon) + len(deps) == len(vecs)
+    own = []
+    for coef in deps:
+        assert len(coef) == len(vecs)
+        j = max(i for i, c in enumerate(coef) if c)
+        assert coef[j] == 1
+        own.append(j)
+        assert not any(_combination(mid, coef, vecs))
+    pivots = []
+    for piv, row, transform in echelon:
+        assert list(row) == _combination(mid, transform, vecs)
+        assert row[piv] == 1 and not any(row[:piv])
+        assert all(row[p] == 0 for p in pivots)
+        pivots.append(piv)
+        own.append(max(i for i, c in enumerate(transform) if c))
+    assert sorted(own) == list(range(len(vecs)))
 
 
 def test_span_dim_invariant_under_middle_linear_maps():

@@ -1,8 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from qgdd.singer import (HOrbit, h_incidence_matrix, kramer_mesner_solve,
+from qgdd.singer import (HOrbit, SingerAction, h_incidence_matrix, kramer_mesner_solve,
                          moebius, n_orbits, n_orbits_with_stabilizer,
                          orbit_of, orbit_representatives, singer_action)
 from qgdd.subspaces import (Subspace, canonicalize, gaussian_binomial,
@@ -119,6 +120,38 @@ def test_orbit_members_length():
         members = action.orbit_members(o.rep)
         assert len(members) == o.length
         assert len(set(members)) == o.length
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_stabilizer_exponent_exact(q):
+    # the exponent depends on q and l only; a stand-in skips building GF(q^l)
+    exponent = SingerAction._stabilizer_exponent
+    l = 1
+    while q ** l <= 1 << 16:
+        action = SimpleNamespace(q=q, l=l)
+        for u in range(1, l + 1):
+            if l % u == 0:
+                assert exponent(action, (q ** l - 1) // (q ** u - 1)) == u
+        l += 1
+
+
+@pytest.mark.parametrize("l,q", [(4, 2), (6, 2), (3, 3)])
+def test_cycle_and_orbit_containing_agree(l, q):
+    action = singer_action(l, q)
+    for d in range(l + 1):
+        orbits = action.orbit_representatives(d)
+        assert sum(o.length for o in orbits) == gaussian_binomial(l, d, q)
+        for orbit in orbits:
+            members = list(action.cycle(orbit.rep.rows))
+            assert len(members) == orbit.length
+            assert min(members) == orbit.rep.rows
+            for member in members:
+                assert action.orbit_containing(member) is orbit
+
+
+def test_orbit_containing_rejects_non_canonical_rows():
+    with pytest.raises(KeyError):
+        singer_action(3, 2).orbit_containing((3, 5))
 
 
 def test_h_incidence_trivial():
