@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .fields import FieldTower, build_tower, prime_power
 from .singer import SingerAction, singer_action
@@ -161,26 +161,83 @@ class GlAtlas:
         """Orbit-label key for a (not necessarily canonical) basis.
 
         Unclassified span classes yield ("other", dim, span_dim) instead of
-        raising, so streaming sweeps can tally them.
+        raising, so streaming sweeps can tally them.  One-shot; sweeps over
+        many bases use label_keys.
         """
         tower = self.tower
-        k = len(rows)
         vecs = [tower.unflatten_packed(r) for r in rows]
         echelon, deps = tower.mid_echelon(vecs)
-        j = len(echelon)
-        if j == k:
+        return self._key_of(vecs, len(echelon), deps, {})
+
+    def label_keys(self, bases: Iterable[Sequence[int]]
+                   ) -> Iterator[tuple[Sequence[int], tuple]]:
+        """Stream (rows, label_key_rows(rows)) over a stream of bases.
+
+        Consecutive bases from iter_rref_bases or iter_superspace_bases
+        mostly differ in their last row only.  The GF(q^l) echelon of every
+        prefix of the previous basis is kept, so each basis reduces only the
+        rows after the longest prefix it shares with the previous one.  A
+        basis of another length than the previous one starts afresh.
+        """
+        tower = self.tower
+        unflatten = tower.unflatten_packed
+        reduce = tower.mid_reduce
+        m = self.m
+        prev: list[int] = []      # rows of the previous basis
+        vecs: list[tuple[int, ...]] = []
+        echelon: list[tuple[int, list[int]]] = []
+        deps: list[list[int]] = []
+        # (len(echelon), len(deps)) after each prefix of prev
+        marks: list[tuple[int, int]] = [(0, 0)]
+        memo: dict[tuple[int, ...], tuple] = {}
+        for rows in bases:
+            k = len(rows)
+            shared = 0
+            if k == len(prev):
+                while shared < k and rows[shared] == prev[shared]:
+                    shared += 1
+            if shared < len(prev):
+                del prev[shared:], vecs[shared:], marks[shared + 1:]
+                n_ech, n_dep = marks[shared]
+                del echelon[n_ech:], deps[n_dep:]
+            for i in range(shared, k):
+                x = unflatten(rows[i])
+                # the input row followed by its transform, eliminated together
+                cur = list(x) + [0] * k
+                cur[m + i] = 1
+                dep = reduce(echelon, cur, m)
+                if dep is not None:
+                    deps.append(dep[m:])
+                prev.append(rows[i])
+                vecs.append(x)
+                marks.append((len(echelon), len(deps)))
+            yield rows, self._key_of(vecs, len(echelon), deps, memo)
+
+    def _key_of(self, vecs: Sequence[Sequence[int]], rank: int,
+                deps: Sequence[Sequence[int]], memo: dict) -> tuple:
+        """Label key of a basis from its GF(q^l) rank and first dependency.
+
+        memo maps a dependency (length k, so it fixes k) to its mixed key.
+        """
+        k = len(vecs)
+        if rank == k:
             return ("full", k)
-        if j == 1:
+        if rank == 1:
             key = self.line_form(vecs)
             assert len(key) == k, "line-class ratios must stay independent"
             return ("line", k, self.singer.orbit_containing(key).rep.rows)
-        if j == k - 1:
-            # the relation among the inputs spans 1 and the mixing coefficients
-            mid_to_pow = tower.ext.mid_to_pow
-            key = self._ops_l.rref([mid_to_pow[c] for c in deps[0]])
-            return ("mixed", k, len(key) - 1,
-                    self.singer.orbit_containing(key).rep.rows)
-        return ("other", k, j)
+        if rank == k - 1:
+            dep = tuple(deps[0])
+            out = memo.get(dep)
+            if out is None:
+                # the relation among the inputs spans 1 and the mixing coefficients
+                mid_to_pow = self.tower.ext.mid_to_pow
+                key = self._ops_l.rref([mid_to_pow[c] for c in dep])
+                out = ("mixed", k, len(key) - 1,
+                       self.singer.orbit_containing(key).rep.rows)
+                memo[dep] = out
+            return out
+        return ("other", k, rank)
 
     def line_form(self, vecs: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """Canonical rows of the W in GF(q^l) with span(vecs) = W.x, vecs in one line.

@@ -134,21 +134,10 @@ def expand_blocks(design: DesignInstance,
         raise ValueError(
             f"expansion needs a sweep over {total} subspaces (budget {budget}); "
             "use sampled verification")
-    only_full = set(wanted) == {("full", blocks.k)}
-    if only_full:
-        k = blocks.k
-        tower = atlas.tower
-        unflatten = tower.unflatten_packed
-        rank = tower.mid_rank
-        for rows in iter_rref_bases(v, k, q):
-            if rank([unflatten(r) for r in rows]) == k:
-                yield rows, 1
-    else:
-        label_of = atlas.label_key_rows
-        for rows in iter_rref_bases(v, blocks.k, q):
-            mult = wanted.get(label_of(rows))
-            if mult:
-                yield rows, mult
+    for rows, key in atlas.label_keys(iter_rref_bases(v, blocks.k, q)):
+        mult = wanted.get(key)
+        if mult:
+            yield rows, mult
 
 
 def _spread_generators(atlas: GlAtlas) -> list[tuple[int, ...]]:
@@ -759,10 +748,8 @@ class _ImplicitCoverage:
         weights = self.mixed_weights
         sub = Subspace(self.q, self.v, rows)
         total = 0
-        label_of = atlas.label_key_rows
         omega_key = ("full", self.k)
-        for basis in iter_superspace_bases(sub, self.k):
-            key = label_of(basis)
+        for _, key in atlas.label_keys(iter_superspace_bases(sub, self.k)):
             if key == omega_key:
                 total += self.omega_mult
             elif key[0] == "mixed":
@@ -941,7 +928,6 @@ def fill_holes(gdd: DesignInstance, master: DesignInstance,
     inside = []
     outside = []
     for rows, mult in master_blocks:
-        block = Subspace(q, master.v, rows)
         if all(hole_sub.contains_vector(r) for r in rows):
             inside.append((rows, mult))
         else:
@@ -1048,6 +1034,9 @@ def subspace_to_lists(sub: Subspace) -> list[list[int]]:
 def subspace_from_lists(rows: list[list[int]], q: int, v: int,
                         strict: bool = True) -> Subspace:
     from .subspaces import canonicalize
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(c) is int for c in r) for r in rows):
+        raise ValueError("a basis must be a list of integer coordinate lists")
     sub = canonicalize(rows, q, v)
     if strict:
         packed = tuple(vector_ops(q, v).vector_from_coords(r) for r in rows)
@@ -1120,9 +1109,9 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
     raw = data["blocks"]
     if "explicit" in raw:
         items = []
-        for entry in raw["explicit"]:
+        for entry in _object_list(raw["explicit"], "explicit blocks"):
             sub = subspace_from_lists(entry["basis"], q, v, strict)
-            items.append((sub.rows, int(entry["multiplicity"])))
+            items.append((sub.rows, _int_field(entry, "multiplicity", 1)))
         blocks: ImplicitBlocks | ExplicitBlocks = make_explicit(iter(items))
     else:
         imp = raw["implicit"]
@@ -1130,21 +1119,17 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         if m * l != v:
             raise ValueError("implicit structure does not match the ambient space")
         labels = []
-        for entry in imp["labels"]:
-            rep = subspace_from_lists(entry["rep"], q, l, strict)
-            r = int(entry["r"])
-            if strict and _orbit_rep_check(q, l, rep.rows) != rep.rows:
-                raise ValueError("label representative is not orbit-canonical")
-            labels.append(LabelWeight(OrbitLabel(k, k - 1, r, rep.rows),
-                                      int(entry["multiplicity"])))
+        for entry in _object_list(imp["labels"], "labels"):
+            r = _int_field(entry, "r", 1, k - 1)
+            rep = _label_rep(entry, q, l, r + 1, strict)
+            labels.append(LabelWeight(OrbitLabel(k, k - 1, r, rep),
+                                      _int_field(entry, "multiplicity", 1)))
         line_labels = []
-        for entry in imp.get("line_labels", []):
-            rep = subspace_from_lists(entry["rep"], q, l, strict)
-            if strict and _orbit_rep_check(q, l, rep.rows) != rep.rows:
-                raise ValueError("label representative is not orbit-canonical")
-            line_labels.append(
-                LabelWeight(OrbitLabel(int(entry["dim"]), 1, None, rep.rows),
-                            int(entry["multiplicity"])))
+        for entry in _object_list(imp.get("line_labels", []), "line_labels"):
+            dim = _int_field(entry, "dim", 1, l)
+            rep = _label_rep(entry, q, l, dim, strict)
+            line_labels.append(LabelWeight(OrbitLabel(dim, 1, None, rep),
+                                           _int_field(entry, "multiplicity", 1)))
         blocks = ImplicitBlocks(m, l, k, tuple(labels), tuple(line_labels),
                                 bool(imp.get("omega_kk", False)))
     design = DesignInstance(q=q, v=v, kind=kind, K=K, claimed_lambda=lam,
@@ -1155,6 +1140,33 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         if g:
             _check_groups_partition(q, v, g)
     return design
+
+
+def _object_list(value, what: str) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+        raise ValueError(f"{what} must be a list of objects")
+    return value
+
+
+def _int_field(entry: dict, name: str, lo: int, hi: int | None = None) -> int:
+    """entry[name] as an integer in lo..hi (no upper bound for hi=None)."""
+    x = entry.get(name)
+    if type(x) is not int or x < lo or (hi is not None and x > hi):
+        bound = f"in {lo}..{hi}" if hi is not None else f">= {lo}"
+        raise ValueError(f"{name} must be an integer {bound}, got {x!r}")
+    return x
+
+
+def _label_rep(entry: dict, q: int, l: int, dim: int,
+               strict: bool) -> tuple[int, ...]:
+    """Canonical rows of a label's representative, which must span dim."""
+    rep = subspace_from_lists(entry.get("rep"), q, l, strict)
+    if rep.dim != dim:
+        raise ValueError(f"label representative has dimension {rep.dim}, "
+                         f"expected {dim}")
+    if strict and _orbit_rep_check(q, l, rep.rows) != rep.rows:
+        raise ValueError("label representative is not orbit-canonical")
+    return rep.rows
 
 
 def _orbit_rep_check(q: int, l: int, rows: tuple[int, ...]) -> tuple[int, ...]:

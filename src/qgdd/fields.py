@@ -444,24 +444,33 @@ class FieldTower:
 
     def mid_rank(self, vectors: list[tuple[int, ...]]) -> int:
         """Rank over GF(q^l) of middle vectors of a common length."""
-        mid = self.mid
-        echelon: list[tuple[int, ...]] = []
-        pivots: list[int] = []
-        rank = 0
+        echelon: list[tuple[int, list[int]]] = []
         for vec in vectors:
-            cur = list(vec)
-            for piv, ech in zip(pivots, echelon):
-                c = cur[piv]
-                if c:
-                    cur = [mid.sub(a, mid.mul(c, b)) for a, b in zip(cur, ech)]
-            for i, c in enumerate(cur):
-                if c:
-                    inv = mid.inv(c)
-                    echelon.append(tuple(mid.mul(inv, a) for a in cur))
-                    pivots.append(i)
-                    rank += 1
-                    break
-        return rank
+            self.mid_reduce(echelon, list(vec), len(vec))
+        return len(echelon)
+
+    def mid_reduce(self, echelon: list[tuple[int, list[int]]], cur: list[int],
+                   width: int) -> list[int] | None:
+        """One GF(q^l) row-reduction step against echelon rows (pivot, row).
+
+        The echelon rows are scaled to 1 at their pivots, which lie among the
+        first width entries; entries past width (a tracked transform) are
+        eliminated along.  When the reduced row is nonzero in its first width
+        entries it is scaled to 1 at its pivot and appended to echelon, and
+        None is returned; otherwise the reduced row is returned.
+        """
+        mid = self.mid
+        sub, mul = mid.sub, mid.mul
+        for piv, ech in echelon:
+            c = cur[piv]
+            if c:
+                cur = [sub(a, mul(c, b)) for a, b in zip(cur, ech)]
+        for piv in range(width):
+            if cur[piv]:
+                inv = mid.inv(cur[piv])
+                echelon.append((piv, [mul(inv, a) for a in cur]))
+                return None
+        return cur
 
     def mid_echelon(self, vectors: Sequence[Sequence[int]]
                     ) -> tuple[list[tuple[int, list[int], list[int]]], list[list[int]]]:
@@ -472,7 +481,6 @@ class FieldTower:
         at the pivot.  deps holds, per dependent input j, coefficients c with
         c[j] = 1, c[i] = 0 for i > j and sum(c[i] * vectors[i]) = 0.
         """
-        mid = self.mid
         n = len(vectors)
         width = len(vectors[0]) if n else 0
         rows: list[tuple[int, list[int]]] = []
@@ -481,16 +489,9 @@ class FieldTower:
             # the input row followed by its transform, eliminated together
             cur = list(vec) + [0] * n
             cur[width + idx] = 1
-            for piv, ech in rows:
-                c = cur[piv]
-                if c:
-                    cur = [mid.sub(a, mid.mul(c, b)) for a, b in zip(cur, ech)]
-            piv = next((i for i in range(width) if cur[i]), None)
-            if piv is None:
-                deps.append(cur[width:])
-            else:
-                inv = mid.inv(cur[piv])
-                rows.append((piv, [mid.mul(inv, a) for a in cur]))
+            dep = self.mid_reduce(rows, cur, width)
+            if dep is not None:
+                deps.append(dep[width:])
         return [(piv, row[:width], row[width:]) for piv, row in rows], deps
 
     def span_dim_over_middle(self, subspace) -> int:

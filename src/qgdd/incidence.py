@@ -175,11 +175,8 @@ def realize_2row(atlas: GlAtlas, label: OrbitLabel) -> Subspace:
 
 def row_coverage(atlas: GlAtlas, realized: Subspace, k: int) -> Counter:
     """Label-key counts over all k-superspaces of a realized 2-subspace."""
-    counts: Counter = Counter()
-    label_of = atlas.label_key_rows
-    for basis in iter_superspace_bases(realized, k):
-        counts[label_of(basis)] += 1
-    return counts
+    return Counter(key for _, key in
+                   atlas.label_keys(iter_superspace_bases(realized, k)))
 
 
 def incidence_entry(m: int, l: int, q: int, row_label: OrbitLabel,
@@ -188,12 +185,8 @@ def incidence_entry(m: int, l: int, q: int, row_label: OrbitLabel,
     atlas = gl_atlas(m, l, q)
     realized = realize_2row(atlas, row_label)
     key = col_label.key()
-    count = 0
-    label_of = atlas.label_key_rows
-    for basis in iter_superspace_bases(realized, col_label.dim):
-        if label_of(basis) == key:
-            count += 1
-    return count
+    return sum(1 for _, got in atlas.label_keys(
+        iter_superspace_bases(realized, col_label.dim)) if got == key)
 
 
 def brute_force_matrix(m: int, l: int, k: int, q: int,

@@ -2,10 +2,15 @@ from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgdd.atlas import (GlAtlas, OrbitLabel, SpanClass, UnclassifiedOrbitError,
                         gl_atlas, gl_order)
-from qgdd.subspaces import Subspace, gaussian_binomial, iter_rref_bases, vector_ops
+from qgdd.fields import FieldTower
+from qgdd.incidence import _row_and_col_labels, realize_2row
+from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
+                            iter_superspace_bases, vector_ops)
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +239,98 @@ def test_span_class_partition_m3():
     mixed_r2 = gl_order(3, 8) // at.stabilizer_order(3, 2, 3)
     assert (lines, mixed_r1, mixed_r2) == (73, 64386, 36792)
     assert lines + mixed_r1 + mixed_r2 + at.full_class_size(3) == 788035
+
+
+def _oracle_stream(at, bases):
+    return [(b, at.label_key_rows(b)) for b in bases]
+
+
+def _superspace_streams(at, k):
+    rows, _, _ = _row_and_col_labels(at, k)
+    return [list(iter_superspace_bases(realize_2row(at, lb), k)) for lb in rows]
+
+
+def test_label_keys_match_oracle_on_sweep(at23):
+    bases = list(iter_rref_bases(6, 3, 2))
+    assert list(at23.label_keys(bases)) == _oracle_stream(at23, bases)
+
+
+@pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4)])
+def test_label_keys_match_oracle_on_superspaces(m, l, q):
+    at = gl_atlas(m, l, q)
+    kinds = set()
+    for bases in _superspace_streams(at, 3):
+        got = list(at.label_keys(iter(bases)))
+        assert got == _oracle_stream(at, bases)
+        kinds.update(key[0] for _, key in got)
+    assert {"line", "mixed"} <= kinds
+    assert ("full" in kinds) == (m >= 3)
+
+
+def _prefix_sharing_stream(pick, n_bases):
+    """Bases of GF(2)^8 (m=2, l=4), each keeping a prefix of the last.
+
+    New rows are random or GF(16)-multiples of the first row's vector, so
+    the stream reaches the line, mixed, full and unclassified classes.
+    """
+    at = gl_atlas(2, 4, 2)
+    tower, ops = at.tower, vector_ops(2, 8)
+    stream, prev = [], ()
+    for _ in range(n_bases):
+        keep = pick(0, len(prev))
+        rows = list(prev[:keep])
+        k = pick(max(keep, 1), 4)
+        for _ in range(4 * k):
+            if len(rows) == k:
+                break
+            if rows and pick(0, 1):
+                c = pick(1, 15)
+                x = tower.unflatten_packed(rows[0])
+                row = tower.flatten_packed([tower.mid.mul(c, a) for a in x])
+            else:
+                row = pick(1, 255)
+            if ops.rank(rows + [row]) == len(rows) + 1:
+                rows.append(row)
+        prev = tuple(rows)
+        stream.append(prev)
+    return stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_label_keys_match_oracle_on_prefix_sharing_streams(data):
+    def pick(lo, hi):
+        return data.draw(st.integers(lo, hi))
+    stream = _prefix_sharing_stream(pick, data.draw(st.integers(1, 12)))
+    at = gl_atlas(2, 4, 2)
+    assert list(at.label_keys(iter(stream))) == _oracle_stream(at, stream)
+
+
+def test_label_keys_prefix_sharing_reaches_every_class():
+    at = gl_atlas(2, 4, 2)
+    stream = _prefix_sharing_stream(Random(5).randint, 400)
+    got = list(at.label_keys(iter(stream)))
+    assert got == _oracle_stream(at, stream)
+    assert {key[0] for _, key in got} == {"line", "mixed", "full", "other"}
+    # prefixes shared by consecutive bases of one length: every length occurs
+    shared = {next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), len(x))
+              for x, y in zip(stream, stream[1:]) if len(x) == len(y)}
+    assert shared >= {0, 1, 2, 3, 4}
+
+
+def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
+    # a lost prefix reuse would unflatten all 3 rows of each of the 127 bases
+    at = gl_atlas(3, 3, 2)
+    rows, _, _ = _row_and_col_labels(at, 3)
+    bases = list(iter_superspace_bases(realize_2row(at, rows[-1]), 3))
+    prefixes = {b[:i] for b in bases for i in range(1, len(b))}
+    calls = []
+    original = FieldTower.unflatten_packed
+
+    def counted(self, row):
+        calls.append(row)
+        return original(self, row)
+
+    monkeypatch.setattr(FieldTower, "unflatten_packed", counted)
+    assert sum(1 for _ in at.label_keys(iter(bases))) == len(bases) == 127
+    assert len(calls) <= len(bases) + len(prefixes) + 2

@@ -114,6 +114,24 @@ def test_verify_failure_exits_1(tmp_path, capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("field,value", [("labels", None),
+                                         ("multiplicity", -3)])
+def test_verify_malformed_labels_exit_2(tmp_path, capsys, field, value):
+    out_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "4", "--k", "3", "--q", "2",
+             "--select", "2,1=1", "--out", str(out_file)], capsys)
+    data = json.loads(out_file.read_text())
+    implicit = data["blocks"]["implicit"]
+    if field == "labels":
+        implicit["labels"] = value
+    else:
+        implicit["labels"][0]["multiplicity"] = value
+    out_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(out_file)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_sampled_seed_stable(tmp_path, capsys):
     out_file = tmp_path / "g.json"
     run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",

@@ -367,6 +367,51 @@ def test_json_strict_rejects_non_canonical():
     assert verify_design(lenient, mode="full").passed
 
 
+def _set_label(field, value):
+    def mutate(data):
+        data["blocks"]["implicit"]["labels"][0][field] = value
+    return mutate
+
+
+def _set_implicit(field, value):
+    def mutate(data):
+        data["blocks"]["implicit"][field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_implicit("labels", None),
+    _set_implicit("labels", [1]),
+    _set_implicit("line_labels", "none"),
+    _set_label("multiplicity", -3),
+    _set_label("multiplicity", 0),
+    _set_label("multiplicity", True),
+    _set_label("multiplicity", "1"),
+    _set_label("r", 0),
+    _set_label("r", 3),
+    _set_label("r", None),
+    _set_label("r", 1),  # three rep rows, r + 1 = 2 expected
+    _set_label("rep", None),
+    _set_label("rep", [[1, 0, 0], [0, 1]]),
+    _set_implicit("line_labels", [{"rep": [[1, 0, 0], [0, 1, 0]], "dim": 3,
+                                   "multiplicity": 1}]),
+    _set_implicit("line_labels", [{"rep": [[1, 0, 0]], "dim": 0,
+                                   "multiplicity": 1}]),
+])
+def test_json_rejects_malformed_labels(gdd633, mutate):
+    data = json.loads(json.dumps(design_to_json_dict(gdd633)))
+    mutate(data)
+    with pytest.raises(ValueError):
+        design_from_json_dict(data)
+
+
+def test_json_rejects_non_positive_explicit_multiplicity():
+    data = design_to_json_dict(complete_design(3, 2, 2))
+    data["blocks"]["explicit"][0]["multiplicity"] = 0
+    with pytest.raises(ValueError, match="multiplicity"):
+        design_from_json_dict(data)
+
+
 def test_orbit_rep_check_rejects_unknown_rows():
     from qgdd.designs import _orbit_rep_check
     assert _orbit_rep_check(2, 3, (1,)) == (1,)
