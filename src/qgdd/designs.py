@@ -19,9 +19,8 @@ from typing import Iterator, Sequence
 
 from .atlas import GlAtlas, OrbitLabel, gl_atlas
 from .singer import n_orbits_with_stabilizer, singer_action
-from .subspaces import (Subspace, complement_positions, gaussian_binomial,
-                        iter_rref_bases, iter_superspace_bases, lift_row,
-                        vector_ops)
+from .subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
+                        iter_superspace_bases, vector_ops)
 
 FORMAT_VERSION = 1
 EXPANSION_BUDGET = 2_000_000
@@ -433,16 +432,26 @@ def _expected_by_class(design: DesignInstance) -> dict[str, int | None]:
 
 
 class _ClassTally:
-    """Per-class coverage tallies with capped deviation witnesses."""
+    """Per-class coverage tallies with capped deviation witnesses.
 
-    def __init__(self, expected: dict[str, int | None]):
-        self.expected = expected
+    The classes are span1 (inside a group) and span2, or all without groups.
+    """
+
+    def __init__(self, design: DesignInstance):
+        self.design = design
+        self.expected = _expected_by_class(design)
+        groups = _design_groups(design)
+        self.group_keys = group_pair_keys(groups) if groups else None
         self.counts: dict[str, int] = {}
         self.values: dict[str, set[int]] = {}
         self.first: dict[str, int] = {}
         self.failures: list[dict] = []
 
-    def record(self, cls: str, key: tuple, got: int) -> None:
+    def record(self, key: tuple, got: int) -> None:
+        if self.group_keys is None:
+            cls = "all"
+        else:
+            cls = "span1" if key in self.group_keys else "span2"
         self.counts[cls] = self.counts.get(cls, 0) + 1
         self.values.setdefault(cls, set()).add(got)
         want = self.expected.get(cls)
@@ -453,7 +462,8 @@ class _ClassTally:
                                   "class": cls, "count": got,
                                   "expected": want})
 
-    def summary(self) -> tuple[tuple[tuple[str, int | None], ...], bool]:
+    def report(self, mode: str, n_blocks: int,
+               sample: tuple[int, int] | None = None) -> VerificationReport:
         lambda_by_class = []
         passed = True
         for cls in sorted(self.counts):
@@ -466,7 +476,12 @@ class _ClassTally:
                     passed = False
             elif lam != want:
                 passed = False
-        return tuple(lambda_by_class), passed
+        return VerificationReport(
+            passed=passed, mode=mode, kind=self.design.kind, block_count=n_blocks,
+            simple=is_simple(self.design), lambda_by_class=tuple(lambda_by_class),
+            pair_counts=tuple(sorted(self.counts.items())),
+            checked=sum(self.counts.values()), failures=tuple(self.failures),
+            sample=sample)
 
 
 def verify_design(design: DesignInstance, mode: str = "full",
@@ -521,22 +536,11 @@ def _verify_full(design: DesignInstance, threads: int,
         raise ValueError(
             f"full verification sweeps {n_pairs} 2-subspaces; use sampled mode")
     counts, n_blocks = coverage_counter(design, threads, budget)
-    groups = _design_groups(design)
-    group_keys = group_pair_keys(groups) if groups else None
-    tally = _ClassTally(_expected_by_class(design))
+    tally = _ClassTally(design)
     for rows in iter_rref_bases(v, 2, q):
         key = pair_key_of_rows(rows, q, v)
-        if group_keys is None:
-            cls = "all"
-        else:
-            cls = "span1" if key in group_keys else "span2"
-        tally.record(cls, key, counts.get(key, 0))
-    lambda_by_class, passed = tally.summary()
-    return VerificationReport(
-        passed=passed, mode="full", kind=design.kind, block_count=n_blocks,
-        simple=is_simple(design), lambda_by_class=lambda_by_class,
-        pair_counts=tuple(sorted(tally.counts.items())),
-        checked=sum(tally.counts.values()), failures=tuple(tally.failures))
+        tally.record(key, counts.get(key, 0))
+    return tally.report("full", n_blocks)
 
 
 def _random_2subspace(rng: Random, q: int, v: int) -> tuple[int, ...]:
@@ -552,30 +556,16 @@ def _random_2subspace(rng: Random, q: int, v: int) -> tuple[int, ...]:
 def _verify_sampled(design: DesignInstance, sample: int,
                     seed: int) -> VerificationReport:
     q, v = design.q, design.v
-    groups = _design_groups(design)
-    group_keys = group_pair_keys(groups) if groups else None
+    tally = _ClassTally(design)
     rng = Random(seed)
     if isinstance(design.blocks, ImplicitBlocks):
         counter = _ImplicitCoverage(design)
     else:
         counter = _ExplicitCoverage(design)
-    tally = _ClassTally(_expected_by_class(design))
     for _ in range(sample):
         rows = _random_2subspace(rng, q, v)
-        key = pair_key_of_rows(rows, q, v)
-        if group_keys is None:
-            cls = "all"
-        else:
-            cls = "span1" if key in group_keys else "span2"
-        tally.record(cls, key, counter.coverage(rows))
-    lambda_by_class, passed = tally.summary()
-    return VerificationReport(
-        passed=passed, mode="sampled", kind=design.kind,
-        block_count=block_count(design), simple=is_simple(design),
-        lambda_by_class=lambda_by_class,
-        pair_counts=tuple(sorted(tally.counts.items())),
-        checked=sum(tally.counts.values()), failures=tuple(tally.failures),
-        sample=(sample, seed))
+        tally.record(pair_key_of_rows(rows, q, v), counter.coverage(rows))
+    return tally.report("sampled", block_count(design), sample=(sample, seed))
 
 
 class _ExplicitCoverage:
@@ -594,16 +584,23 @@ class _ExplicitCoverage:
 
 
 class _ImplicitCoverage:
-    """Coverage of one 2-subspace by an implicit design, via orbit labels.
+    """Coverage of one 2-subspace U by an implicit design, via orbit labels.
 
-    For k = 3 the mixed-label membership of every streamed superspace is a
-    table lookup on the pair of mixing coefficients; other k fall back to
-    labeling each superspace.
+    For k = 3 nothing is streamed.  Let U = <x1, x2> span two GF(q^l)-
+    dimensions and C be the complement of U off its pivot coordinates.  A
+    superspace <U, y>, y in C, is span-3 unless y = a1 x1 + a2 x2, and then
+    it has the mixed label of span{1, a1, a2}.  Those (a1, a2) form a
+    (2l-2)-dimensional GF(q)-subspace, the image of one linear map: the
+    pair table is summed over all its vectors, built by doubling, and
+    divided by q-1 (c.y, c in GF(q)*, gives the same superspace); the
+    span-3 superspaces are counted in closed form.  If U = W.x lies in a
+    spread line, every superspace outside that line has the mixed r=1 label
+    of W, a closed form too.  Other k label each streamed superspace
+    (_mixed_coverage_generic, also the oracle of the k = 3 paths).
     """
 
     def __init__(self, design: DesignInstance):
         blocks = design.blocks
-        self.design = design
         self.atlas = gl_atlas(blocks.m, blocks.l, design.q)
         self.k = blocks.k
         self.omega_mult = 1 if blocks.omega_kk else 0
@@ -612,56 +609,67 @@ class _ImplicitCoverage:
         self.line_weights = list(blocks.line_labels)
         self.q, self.v = design.q, design.v
         self._pair_table: list[int] | None = None
+        self._add_table: list[int] | None = None
         if self.k == 3 and (self.mixed_weights or self.omega_mult):
             self._pair_table = self._build_pair_table()
+            if self.q != 2:
+                # add[x * Q + y] = x + y in GF(q)^l, for the doubling over GF(q)
+                ops_l = vector_ops(self.q, blocks.l)
+                Q = self.atlas.Q
+                self._add_table = [ops_l.add(x, y) for x in range(Q) for y in range(Q)]
 
     def _build_pair_table(self) -> list[int]:
-        """weight[a * Q + b] = design weight of the mixed label of (1, a, b)."""
+        """weight[a1 * Q + a2] = design weight of the mixed label of span{1, a1, a2}.
+
+        a1 and a2 are GF(q^l) elements in power-basis coordinates, so an
+        index is a packed vector of GF(q)^(2l).
+        """
         atlas = self.atlas
         Q = atlas.Q
         ops_l = vector_ops(atlas.q, atlas.l)
-        mid_to_pow = atlas.tower.ext.mid_to_pow
         table = [0] * (Q * Q)
         weights = self.mixed_weights
         if not weights:
             return table
-        rep_cache: dict[tuple, int] = {}
+        by_key: dict[tuple, int] = {}
         for a in range(Q):
-            pa = mid_to_pow[a]
-            base = a * Q
             for b in range(Q):
-                key = ops_l.rref((1, pa, mid_to_pow[b]))
-                r = len(key) - 1
-                if r < 1:
-                    continue
-                w = rep_cache.get(key)
-                if w is None:
-                    rep = atlas.singer.orbit_containing(key).rep.rows
-                    w = weights.get(("mixed", 3, r, rep), 0)
-                    rep_cache[key] = w
-                table[base + b] = w
+                key = ops_l.rref((1, a, b))
+                if len(key) > 1:
+                    if key not in by_key:
+                        rep = atlas.singer.orbit_containing(key).rep.rows
+                        by_key[key] = weights.get(("mixed", 3, len(key) - 1, rep), 0)
+                    table[a * Q + b] = by_key[key]
         return table
 
     def coverage(self, rows: tuple[int, ...]) -> int:
         cls = self.atlas.classify_rows(rows)
+        mixed = self.mixed_weights or self.omega_mult
         if cls.span_dim == 1:
             total = self._line_coverage(rows)
-            if self.mixed_weights or self.omega_mult:
-                total += self._mixed_coverage_generic(rows)
+            if mixed:
+                total += (self._span1_mixed_k3(rows) if self.k == 3
+                          else self._mixed_coverage_generic(rows))
             return total
         # line blocks live inside single spread lines; span-2 pairs do not
-        if not (self.mixed_weights or self.omega_mult):
+        if not mixed:
             return 0
         if self.k == 3:
             return self._mixed_coverage_k3(rows)
         return self._mixed_coverage_generic(rows)
 
+    def _line_orbit(self, rows: tuple[int, ...]
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(W, Singer orbit representative of W) for a span-1 pair W.x."""
+        atlas = self.atlas
+        form = atlas.line_form([atlas.tower.unflatten_packed(r) for r in rows])
+        return form, atlas.singer.orbit_containing(form).rep.rows
+
     def _line_coverage(self, rows: tuple[int, ...]) -> int:
         if not self.line_weights:
             return 0
         atlas = self.atlas
-        pair_form = atlas.line_form([atlas.tower.unflatten_packed(r) for r in rows])
-        pair_orbit_rep = atlas.singer.orbit_containing(pair_form).rep.rows
+        pair_form, pair_orbit_rep = self._line_orbit(rows)
         total = 0
         for lw in self.line_weights:
             if lw.label.dim == 2:
@@ -675,73 +683,46 @@ class _ImplicitCoverage:
                     total += lw.multiplicity
         return total
 
+    def _span1_mixed_k3(self, rows: tuple[int, ...]) -> int:
+        """Mixed coverage of a span-1 pair W.x by 3-blocks, in closed form.
+
+        Each of the (q^(v-2) - q^(l-2))/(q-1) superspaces <W.x, y> with y
+        outside the spread line GF(q^l).x has the mixed r=1 label of W.
+        """
+        q = self.q
+        w = self.mixed_weights.get(("mixed", 3, 1, self._line_orbit(rows)[1]), 0)
+        return w * (q ** (self.v - 2) - q ** (self.atlas.l - 2)) // (q - 1)
+
     def _mixed_coverage_k3(self, rows: tuple[int, ...]) -> int:
+        """Mixed and span-3 coverage of a span-2 pair (canonical rows) by 3-blocks."""
         atlas = self.atlas
         tower = atlas.tower
-        mid = tower.mid
-        q, v, Q = self.q, self.v, atlas.Q
-        t1, t2 = rows
-        x1 = tower.unflatten_packed(t1)
-        x2 = tower.unflatten_packed(t2)
-        table = self._pair_table
-        if q == 2 and atlas.m == 2:
-            return self._k3_fast_gf2_m2(t1, t2, x1, x2, table)
-        (p1, e1, tr1), (p2, e2, tr2) = tower.mid_echelon((x1, x2))[0]
-        omega = self.omega_mult
-        positions = complement_positions(Subspace(q, v, rows))
-        total = 0
-        for lifted in iter_rref_bases(v - 2, 1, q):
-            y = tower.unflatten_packed(lift_row(lifted[0], positions, q))
-            c1 = y[p1]
-            cur = [mid.sub(a, mid.mul(c1, b)) for a, b in zip(y, e1)] if c1 else list(y)
-            c2 = cur[p2]
-            if c2:
-                cur = [mid.sub(a, mid.mul(c2, b)) for a, b in zip(cur, e2)]
-            if any(cur):
-                total += omega
-                continue
-            a1 = mid.add(mid.mul(c1, tr1[0]), mid.mul(c2, tr2[0]))
-            a2 = mid.add(mid.mul(c1, tr1[1]), mid.mul(c2, tr2[1]))
-            total += table[a1 * Q + a2]
-        return total
-
-    def _k3_fast_gf2_m2(self, t1: int, t2: int, x1, x2, table) -> int:
-        atlas = self.atlas
-        mid = atlas.tower.mid
-        exp, log = mid.exp, mid.log
-        Q = atlas.Q
-        n = Q - 1
-        l = atlas.l
-        lmask = (1 << l) - 1
-        p2m = atlas.tower.ext.pow_to_mid
-        x11, x12 = x1
-        x21, x22 = x2
-        det = (exp[log[x11] + log[x22]] if x11 and x22 else 0) ^ \
-              (exp[log[x12] + log[x21]] if x12 and x21 else 0)
-        assert det, "span-1 pair reached the mixed fast path"
-        dinv = (n - log[det]) % n
-        # alpha1 = (x22*y1 + x21*y2)/det, alpha2 = (x12*y1 + x11*y2)/det
-        la11 = (log[x22] + dinv) % n if x22 else None
-        la12 = (log[x21] + dinv) % n if x21 else None
-        la21 = (log[x12] + dinv) % n if x12 else None
-        la22 = (log[x11] + dinv) % n if x11 else None
-        pv1 = (t1 & -t1).bit_length() - 1
-        pv2 = (t2 & -t2).bit_length() - 1
-        mask_a = (1 << pv1) - 1
-        mask_b = ((1 << (pv2 - 1)) - 1) ^ mask_a
-        shift_hi = pv2 - 1
-        v = self.v
-        total = 0
-        for x in range(1, 1 << (v - 2)):
-            e = (x & mask_a) | ((x & mask_b) << 1) | ((x >> shift_hi) << (pv2 + 1))
-            y1 = p2m[e & lmask]
-            y2 = p2m[e >> l]
-            a1 = (exp[la11 + log[y1]] if y1 and la11 is not None else 0) ^ \
-                 (exp[la12 + log[y2]] if y2 and la12 is not None else 0)
-            a2 = (exp[la21 + log[y1]] if y1 and la21 is not None else 0) ^ \
-                 (exp[la22 + log[y2]] if y2 and la22 is not None else 0)
-            total += table[a1 * Q + a2]
-        return total
+        q, v, l, Q = self.q, self.v, atlas.l, atlas.Q
+        ops = vector_ops(q, v)
+        neg = ops.field.neg
+        p1, p2 = (ops.pivot(r) for r in rows)
+        # a basis of {(a1, a2) : a1 x1 + a2 x2 in C}, packed a1 * Q + a2 in
+        # power coordinates: (w^i, 0) and (0, w^i) for 0 < i < l, each minus
+        # the digits (d1, d2) of its y = a1 x1 + a2 x2 at the pivots, since
+        # y - d1 t1 - d2 t2 is in C for the canonical rows t1, t2
+        basis = []
+        for i in range(1, l):
+            wi = tower.ext.pow_to_mid[q ** i]
+            for row, pair in ((rows[0], q ** i * Q), (rows[1], q ** i)):
+                y = tower.flatten_packed(
+                    [tower.mid.mul(wi, c) for c in tower.unflatten_packed(row)])
+                basis.append(pair + neg(ops.digit(y, p1)) * Q + neg(ops.digit(y, p2)))
+        combos = [0]
+        add, smul = self._add_table, vector_ops(q, 2 * l).smul
+        for b in basis:
+            if q == 2:
+                combos += [s ^ b for s in combos]
+            else:
+                shifts = [divmod(smul(c, b), Q) for c in range(1, q)]
+                combos += [add[s // Q * Q + hi] * Q + add[s % Q * Q + lo]
+                           for hi, lo in shifts for s in combos]
+        mixed = sum(map(self._pair_table.__getitem__, combos)) // (q - 1)
+        return mixed + self.omega_mult * (q ** (v - 2) - q ** (2 * l - 2)) // (q - 1)
 
     def _mixed_coverage_generic(self, rows: tuple[int, ...]) -> int:
         atlas = self.atlas
@@ -1089,33 +1070,49 @@ def design_to_json_dict(design: DesignInstance) -> dict:
 
 
 def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
+    if not isinstance(data, dict):
+        raise ValueError("a design file must hold a JSON object")
     if data.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {data.get('format_version')}")
-    q = int(data["q"])
-    v = int(data["v"])
-    kind = data["kind"]
+    q = _int_field(data, "q", 2)
+    v = _int_field(data, "v", 1)
+    kind = data.get("kind")
     if kind not in ("gdd", "design", "pbd", "mixed"):
         raise ValueError(f"unknown design kind {kind!r}")
-    K = tuple(sorted(int(k) for k in data["K"]))
-    lam = data.get("claimed_lambda")
-    lam = int(lam) if lam is not None else None
+    K = data.get("K")
+    if not isinstance(K, list) or not K or any(
+            type(k) is not int or k < 1 for k in K):
+        raise ValueError(f"K must be a non-empty list of integers >= 1, got {K!r}")
+    K = tuple(sorted(K))
+    lam = None if data.get("claimed_lambda") is None else \
+        _int_field(data, "claimed_lambda", 0)
     by_class = data.get("claimed_lambda_by_class")
-    by_class_t = tuple(sorted((k, int(x)) for k, x in by_class.items())) \
-        if by_class else None
+    if by_class is not None and not isinstance(by_class, dict):
+        raise ValueError("claimed_lambda_by_class must be an object")
+    by_class_t = tuple(sorted((cls, _int_field(by_class, cls, 0))
+                              for cls in by_class)) if by_class else None
     groups = None
     if data.get("groups"):
+        if not isinstance(data["groups"], list):
+            raise ValueError("groups must be a list of bases")
         groups = tuple(subspace_from_lists(g, q, v, strict)
                        for g in data["groups"])
-    raw = data["blocks"]
+    raw = data.get("blocks")
+    if not isinstance(raw, dict) or not (
+            "explicit" in raw or isinstance(raw.get("implicit"), dict)):
+        raise ValueError("blocks must be an object holding explicit or implicit blocks")
     if "explicit" in raw:
         items = []
         for entry in _object_list(raw["explicit"], "explicit blocks"):
-            sub = subspace_from_lists(entry["basis"], q, v, strict)
+            sub = subspace_from_lists(entry.get("basis"), q, v, strict)
+            if sub.dim not in K:
+                raise ValueError(
+                    f"explicit block of dimension {sub.dim} is not in K={list(K)}")
             items.append((sub.rows, _int_field(entry, "multiplicity", 1)))
         blocks: ImplicitBlocks | ExplicitBlocks = make_explicit(iter(items))
     else:
         imp = raw["implicit"]
-        m, l, k = int(imp["m"]), int(imp["l"]), int(imp["k"])
+        m, l, k = (_int_field(imp, name, 1) for name in ("m", "l", "k"))
         if m * l != v:
             raise ValueError("implicit structure does not match the ambient space")
         labels = []

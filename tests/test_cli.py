@@ -132,6 +132,21 @@ def test_verify_malformed_labels_exit_2(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["q", "v", "K", "implicit.m", "implicit.l",
+                                   "implicit.k"])
+def test_verify_null_structure_field_exit_2(tmp_path, capsys, field):
+    out_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(out_file)], capsys)
+    data = json.loads(out_file.read_text())
+    owner = data["blocks"]["implicit"] if field.startswith("implicit.") else data
+    owner[field.split(".")[-1]] = None
+    out_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(out_file)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_verify_sampled_seed_stable(tmp_path, capsys):
     out_file = tmp_path / "g.json"
     run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",

@@ -420,6 +420,48 @@ def test_orbit_rep_check_rejects_unknown_rows():
         _orbit_rep_check(2, 3, (3, 5))
 
 
+def test_json_rejects_explicit_block_outside_K():
+    data = design_to_json_dict(complete_design(4, 3, 2))
+    data["blocks"]["explicit"][0]["basis"] = [[1, 0, 0, 0], [0, 1, 0, 0]]
+    with pytest.raises(ValueError, match="not in K"):
+        design_from_json_dict(data)
+
+
+def _set_top(field, value):
+    def mutate(data):
+        data[field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_top("q", None),
+    _set_top("q", "2"),
+    _set_top("q", 1),
+    _set_top("v", None),
+    _set_top("v", 6.0),
+    _set_top("kind", None),
+    _set_top("K", None),
+    _set_top("K", []),
+    _set_top("K", [3, None]),
+    _set_top("claimed_lambda", [6]),
+    _set_top("claimed_lambda", -1),
+    _set_top("claimed_lambda_by_class", [6]),
+    _set_top("claimed_lambda_by_class", {"span2": None}),
+    _set_top("groups", 5),
+    _set_top("blocks", None),
+    _set_top("blocks", {"implicit": None}),
+    _set_implicit("m", None),
+    _set_implicit("l", None),
+    _set_implicit("k", None),
+    _set_implicit("k", "3"),
+])
+def test_json_rejects_malformed_top_level(gdd633, mutate):
+    data = json.loads(json.dumps(design_to_json_dict(gdd633)))
+    mutate(data)
+    with pytest.raises(ValueError):
+        design_from_json_dict(data)
+
+
 def test_json_rejects_unknown_version():
     d = complete_design(3, 2, 2)
     data = design_to_json_dict(d)
@@ -504,3 +546,53 @@ def test_sampled_generic_path_k4_matches_closed_form():
     label = g.blocks.labels[0].label
     col = A.col_labels.index(label)
     assert cov.coverage(rep.rows) == A.entries[-1][col] == g.claimed_lambda
+
+
+# -- k = 3 sampled kernels against the streaming oracle ---------------------------
+
+def _weighted_k3_design(m, l, q, omega_kk):
+    """Mixed 3-orbit labels of both r with multiplicities 1, 2, (absent), 3, ..."""
+    from qgdd.atlas import gl_atlas
+    atlas = gl_atlas(m, l, q)
+    reps = atlas.representatives(3, 1) + atlas.representatives(3, 2)
+    labels = tuple(LabelWeight(rep.label, [1, 2, 0, 3][i % 4])
+                   for i, rep in enumerate(reps) if i % 4 != 2)
+    assert len({lw.multiplicity for lw in labels}) >= 2
+    return DesignInstance(q=q, v=m * l, kind="design", K=(3,), claimed_lambda=None,
+                          blocks=ImplicitBlocks(m, l, 3, labels, (), omega_kk))
+
+
+def _random_line_pair(rng, atlas):
+    """A seeded random 2-subspace W.x of one spread line."""
+    from qgdd.designs import _random_2subspace
+    from qgdd.subspaces import vector_ops
+    W = _random_2subspace(rng, atlas.q, atlas.l)
+    x = [0] * atlas.m
+    while not any(x):
+        x = [rng.randrange(atlas.Q) for _ in range(atlas.m)]
+    return vector_ops(atlas.q, atlas.v).rref(atlas.line_rows(W, x))
+
+
+@pytest.mark.parametrize("omega_kk", [False, True])
+@pytest.mark.parametrize("m,l,q", [(2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3),
+                                   (3, 3, 3)])
+def test_k3_kernels_match_generic_on_weighted_designs(m, l, q, omega_kk):
+    from qgdd.designs import _ImplicitCoverage, _random_2subspace
+    cov = _ImplicitCoverage(_weighted_k3_design(m, l, q, omega_kk))
+    atlas = cov.atlas
+    rng = Random(100 * m + 10 * l + q)
+    span2 = 0
+    while span2 < 5:
+        rows = _random_2subspace(rng, q, m * l)
+        if atlas.classify_rows(rows).span_dim != 2:
+            continue
+        got = cov._mixed_coverage_k3(rows)
+        assert got == cov._mixed_coverage_generic(rows) > 0
+        span2 += 1
+    span1 = []
+    for _ in range(5):
+        rows = _random_line_pair(rng, atlas)
+        assert atlas.classify_rows(rows).span_dim == 1
+        span1.append(cov._span1_mixed_k3(rows))
+        assert span1[-1] == cov._mixed_coverage_generic(rows)
+    assert any(span1)
