@@ -34,6 +34,17 @@ def _read_design(path: str, strict: bool = True) -> DesignInstance:
     return design_from_json_dict(json.loads(Path(path).read_text()), strict)
 
 
+def _sample_count(text: str) -> int:
+    """argparse type of --sample: an integer >= 1 (usage error otherwise)."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _parse_select(chunks: list[str]) -> dict[tuple[int, int], int]:
     """Parse selections like "2,3=1" or "2,1=4,2,3=1" into {(r, u): w}."""
     weights: dict[tuple[int, int], int] = {}
@@ -267,8 +278,12 @@ def cmd_supplement(args) -> int:
     design = _read_design(args.infile)
     out = supplementary(design)
     _write_design(out, args.out)
+    claim = f"claimed_lambda={out.claimed_lambda}"
+    if out.claimed_lambda_by_class:
+        claim = "mixed, " + " ".join(f"{cls}={lam}"
+                                     for cls, lam in out.claimed_lambda_by_class)
     print(f"wrote {args.out}: supplementary design with {block_count(out)} "
-          f"blocks, claimed_lambda={out.claimed_lambda}")
+          f"blocks, {claim}")
     return 0
 
 
@@ -347,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a design file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_sample_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -367,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master", required=True)
     p.add_argument("--hole-dim", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sample", type=int, default=None)
+    p.add_argument("--sample", type=_sample_count, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
@@ -395,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,8 +4,10 @@ Designs live on GF(q)^(ml) with the Desarguesian l-spread as group set and
 are stored either explicitly (block multiset) or implicitly (orbit labels
 with multiplicities, expanded lazily).  Verification is exact counting:
 full sweeps tally every 2-subspace covered by every block; sampled sweeps
-count coverage of seeded-random 2-subspaces through superspace streaming
-and orbit-label membership.
+count the blocks through seeded-random 2-subspaces, for implicit designs
+once per GL(m, q^l)-orbit of 2-subspaces (superspace streaming and
+orbit-label membership, or a closed form) and for explicit designs by
+testing every block.
 """
 
 from __future__ import annotations
@@ -491,12 +493,16 @@ def verify_design(design: DesignInstance, mode: str = "full",
     """Check 2-subspace coverage against the design's claims.
 
     Full mode sweeps every block and every 2-subspace of the ambient space;
-    sampled mode draws seeded-random 2-subspaces and counts their coverage
-    through superspace streaming plus orbit-label membership.
+    sampled mode draws sample >= 1 seeded-random 2-subspaces.  An implicit
+    design is a union of GL(m, q^l)-orbits, so the coverage of a sampled
+    2-subspace is counted once per orbit of 2-subspaces and reused for the
+    others; explicit blocks are tested one by one for every sample.
     """
     if mode == "full":
         return _verify_full(design, threads, budget)
     if mode == "sampled":
+        if sample < 1:
+            raise ValueError(f"sampled verification needs sample >= 1, got {sample}")
         return _verify_sampled(design, sample, seed)
     raise ValueError(f"unknown verification mode {mode!r}")
 
@@ -584,19 +590,20 @@ class _ExplicitCoverage:
 
 
 class _ImplicitCoverage:
-    """Coverage of one 2-subspace U by an implicit design, via orbit labels.
+    """Coverage of a 2-subspace U by an implicit design, counted once per orbit.
 
-    For k = 3 nothing is streamed.  Let U = <x1, x2> span two GF(q^l)-
-    dimensions and C be the complement of U off its pivot coordinates.  A
-    superspace <U, y>, y in C, is span-3 unless y = a1 x1 + a2 x2, and then
-    it has the mixed label of span{1, a1, a2}.  Those (a1, a2) form a
-    (2l-2)-dimensional GF(q)-subspace, the image of one linear map: the
-    pair table is summed over all its vectors, built by doubling, and
-    divided by q-1 (c.y, c in GF(q)*, gives the same superspace); the
-    span-3 superspaces are counted in closed form.  If U = W.x lies in a
-    spread line, every superspace outside that line has the mixed r=1 label
-    of W, a closed form too.  Other k label each streamed superspace
-    (_mixed_coverage_generic, also the oracle of the k = 3 paths).
+    The design is a union of G = GL(m, q^l)-orbits: each mixed label and the
+    span-k label is one G-orbit of k-subspaces, and line labels, expanded
+    along every spread line, are G-invariant too.  So the number of blocks
+    through U depends only on the G-orbit of U, which label_key_rows names:
+    ("full", 2) for the span-2 pairs, which form one orbit, and
+    ("line", 2, Singer rep of W) for a pair U = W.x inside a spread line.
+    Each key is counted once per instance, that is once per verification
+    call.  Span-2 pairs, and span-1 pairs for k != 3, stream their
+    k-superspaces and label each (_mixed_coverage_generic).  For k = 3
+    every superspace of W.x outside its spread line has the mixed r=1
+    label of W, a closed form.  Line blocks are counted on the
+    representative W.
     """
 
     def __init__(self, design: DesignInstance):
@@ -608,121 +615,51 @@ class _ImplicitCoverage:
                               for lw in blocks.labels}
         self.line_weights = list(blocks.line_labels)
         self.q, self.v = design.q, design.v
-        self._pair_table: list[int] | None = None
-        self._add_table: list[int] | None = None
-        if self.k == 3 and (self.mixed_weights or self.omega_mult):
-            self._pair_table = self._build_pair_table()
-            if self.q != 2:
-                # add[x * Q + y] = x + y in GF(q)^l, for the doubling over GF(q)
-                ops_l = vector_ops(self.q, blocks.l)
-                Q = self.atlas.Q
-                self._add_table = [ops_l.add(x, y) for x in range(Q) for y in range(Q)]
-
-    def _build_pair_table(self) -> list[int]:
-        """weight[a1 * Q + a2] = design weight of the mixed label of span{1, a1, a2}.
-
-        a1 and a2 are GF(q^l) elements in power-basis coordinates, so an
-        index is a packed vector of GF(q)^(2l).
-        """
-        atlas = self.atlas
-        Q = atlas.Q
-        ops_l = vector_ops(atlas.q, atlas.l)
-        table = [0] * (Q * Q)
-        weights = self.mixed_weights
-        if not weights:
-            return table
-        by_key: dict[tuple, int] = {}
-        for a in range(Q):
-            for b in range(Q):
-                key = ops_l.rref((1, a, b))
-                if len(key) > 1:
-                    if key not in by_key:
-                        rep = atlas.singer.orbit_containing(key).rep.rows
-                        by_key[key] = weights.get(("mixed", 3, len(key) - 1, rep), 0)
-                    table[a * Q + b] = by_key[key]
-        return table
+        self.memo: dict[tuple, int] = {}
 
     def coverage(self, rows: tuple[int, ...]) -> int:
-        cls = self.atlas.classify_rows(rows)
+        key = self.atlas.label_key_rows(rows)
+        count = self.memo.get(key)
+        if count is None:
+            count = self.memo[key] = self._count(rows, key)
+        return count
+
+    def _count(self, rows: tuple[int, ...], key: tuple) -> int:
         mixed = self.mixed_weights or self.omega_mult
-        if cls.span_dim == 1:
-            total = self._line_coverage(rows)
-            if mixed:
-                total += (self._span1_mixed_k3(rows) if self.k == 3
-                          else self._mixed_coverage_generic(rows))
-            return total
-        # line blocks live inside single spread lines; span-2 pairs do not
-        if not mixed:
-            return 0
-        if self.k == 3:
-            return self._mixed_coverage_k3(rows)
-        return self._mixed_coverage_generic(rows)
+        if key[0] == "full":
+            # line blocks live inside single spread lines; span-2 pairs do not
+            return self._mixed_coverage_generic(rows) if mixed else 0
+        rep = key[2]
+        total = self._line_coverage(rep)
+        if mixed:
+            total += (self._span1_mixed_k3(rep) if self.k == 3
+                      else self._mixed_coverage_generic(rows))
+        return total
 
-    def _line_orbit(self, rows: tuple[int, ...]
-                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(W, Singer orbit representative of W) for a span-1 pair W.x."""
+    def _line_coverage(self, rep: tuple[int, ...]) -> int:
+        """Line blocks through W.x, for W with Singer representative rep."""
         atlas = self.atlas
-        form = atlas.line_form([atlas.tower.unflatten_packed(r) for r in rows])
-        return form, atlas.singer.orbit_containing(form).rep.rows
-
-    def _line_coverage(self, rows: tuple[int, ...]) -> int:
-        if not self.line_weights:
-            return 0
-        atlas = self.atlas
-        pair_form, pair_orbit_rep = self._line_orbit(rows)
         total = 0
         for lw in self.line_weights:
             if lw.label.dim == 2:
-                if lw.label.rep_rows == pair_orbit_rep:
+                if lw.label.rep_rows == rep:
                     total += lw.multiplicity
                 continue
-            pair_sub = Subspace(atlas.q, atlas.l, pair_form)
             for member in atlas.singer.cycle(lw.label.rep_rows):
                 member_sub = Subspace(atlas.q, atlas.l, member)
-                if all(member_sub.contains_vector(r) for r in pair_sub.rows):
+                if all(member_sub.contains_vector(r) for r in rep):
                     total += lw.multiplicity
         return total
 
-    def _span1_mixed_k3(self, rows: tuple[int, ...]) -> int:
+    def _span1_mixed_k3(self, rep: tuple[int, ...]) -> int:
         """Mixed coverage of a span-1 pair W.x by 3-blocks, in closed form.
 
         Each of the (q^(v-2) - q^(l-2))/(q-1) superspaces <W.x, y> with y
         outside the spread line GF(q^l).x has the mixed r=1 label of W.
         """
         q = self.q
-        w = self.mixed_weights.get(("mixed", 3, 1, self._line_orbit(rows)[1]), 0)
+        w = self.mixed_weights.get(("mixed", 3, 1, rep), 0)
         return w * (q ** (self.v - 2) - q ** (self.atlas.l - 2)) // (q - 1)
-
-    def _mixed_coverage_k3(self, rows: tuple[int, ...]) -> int:
-        """Mixed and span-3 coverage of a span-2 pair (canonical rows) by 3-blocks."""
-        atlas = self.atlas
-        tower = atlas.tower
-        q, v, l, Q = self.q, self.v, atlas.l, atlas.Q
-        ops = vector_ops(q, v)
-        neg = ops.field.neg
-        p1, p2 = (ops.pivot(r) for r in rows)
-        # a basis of {(a1, a2) : a1 x1 + a2 x2 in C}, packed a1 * Q + a2 in
-        # power coordinates: (w^i, 0) and (0, w^i) for 0 < i < l, each minus
-        # the digits (d1, d2) of its y = a1 x1 + a2 x2 at the pivots, since
-        # y - d1 t1 - d2 t2 is in C for the canonical rows t1, t2
-        basis = []
-        for i in range(1, l):
-            wi = tower.ext.pow_to_mid[q ** i]
-            for row, pair in ((rows[0], q ** i * Q), (rows[1], q ** i)):
-                y = tower.flatten_packed(
-                    [tower.mid.mul(wi, c) for c in tower.unflatten_packed(row)])
-                basis.append(pair + neg(ops.digit(y, p1)) * Q + neg(ops.digit(y, p2)))
-        combos = [0]
-        add, smul = self._add_table, vector_ops(q, 2 * l).smul
-        for b in basis:
-            if q == 2:
-                combos += [s ^ b for s in combos]
-            else:
-                shifts = [divmod(smul(c, b), Q) for c in range(1, q)]
-                combos += [add[s // Q * Q + hi] * Q + add[s % Q * Q + lo]
-                           for hi, lo in shifts for s in combos]
-        mixed = sum(map(self._pair_table.__getitem__, combos)) // (q - 1)
-        return mixed + self.omega_mult * (q ** (v - 2) - q ** (2 * l - 2)) // (q - 1)
 
     def _mixed_coverage_generic(self, rows: tuple[int, ...]) -> int:
         atlas = self.atlas
@@ -753,8 +690,8 @@ def h_orbit_decomposition(seed: DesignInstance) -> list[LabelWeight]:
     out: list[LabelWeight] = []
     while remaining:
         rows = next(iter(sorted(remaining)))
-        orbit = action.orbit_of(Subspace(seed.q, seed.v, rows))
-        members = action.orbit_members(orbit.rep)
+        orbit = action.orbit_containing(rows)
+        members = list(action.cycle(rows))
         mults = {remaining.get(m, 0) for m in members}
         if len(mults) != 1:
             raise ValueError(
@@ -975,7 +912,13 @@ def _check_hole_restriction(q: int, n: int, k: int, hole: Subspace,
 
 def supplementary(design: DesignInstance,
                   budget: int = EXPANSION_BUDGET) -> DesignInstance:
-    """All admissible blocks not in a simple design's block set."""
+    """All admissible blocks not in a simple design's block set.
+
+    Each 2-subspace lies in sum_k [v-2, k-2]_q admissible blocks, so the
+    supplement covers it that many times minus its coverage in the input.
+    A gdd or mixed input keeps its groups and gives a mixed design with
+    that difference claimed per class.
+    """
     if not is_simple(design):
         raise ValueError("supplementary design needs a simple input")
     q, v = design.q, design.v
@@ -994,15 +937,21 @@ def supplementary(design: DesignInstance,
                 if rows not in chosen:
                     yield rows, 1
 
+    through = sum(gaussian_binomial(v - 2, k - 2, q) for k in design.K)
+    blocks = make_explicit(complement())
+    if design.kind in ("gdd", "mixed"):
+        expected = _expected_by_class(design)
+        by_class = tuple((cls, through - expected[cls]) for cls in ("span1", "span2")
+                         if expected[cls] is not None)
+        return DesignInstance(q=q, v=v, kind="mixed", K=design.K,
+                              claimed_lambda=None, blocks=blocks,
+                              groups=_design_groups(design),
+                              claimed_lambda_by_class=by_class or None)
     lam = design.claimed_lambda
-    lam_supp = None
-    if lam is not None:
-        lam_supp = sum(gaussian_binomial(v - 2, k - 2, q)
-                       for k in design.K) - lam
     kind = "design" if len(design.K) == 1 else "pbd"
     return DesignInstance(q=q, v=v, kind=kind, K=design.K,
-                          claimed_lambda=lam_supp,
-                          blocks=make_explicit(complement()))
+                          claimed_lambda=None if lam is None else through - lam,
+                          blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,6 @@ class SingerAction:
             raise ValueError("subspace does not match this Singer action")
         return self._orbit(list(self.cycle(W.rows)))
 
-    def orbit_members(self, rep: Subspace) -> list[tuple[int, ...]]:
-        return list(self.cycle(rep.rows))
-
     def orbit_representatives(self, d: int) -> list[HOrbit]:
         """One HOrbit per orbit of d-subspaces, sorted by (u, representative)."""
         self._ensure_orbits(d)

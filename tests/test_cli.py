@@ -238,6 +238,45 @@ def test_supplement_flow(tmp_path, capsys):
     assert code == 0 and "0 blocks" in out
 
 
+def test_supplement_of_gdd_verifies(tmp_path, capsys):
+    gdd_file = tmp_path / "g.json"
+    out_file = tmp_path / "supp.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(gdd_file)], capsys)
+    code, out, _ = run_cli(
+        ["supplement", "--in", str(gdd_file), "--out", str(out_file)], capsys)
+    assert code == 0 and "891 blocks, mixed, span1=15 span2=9" in out
+    data = json.loads(out_file.read_text())
+    assert data["kind"] == "mixed" and len(data["groups"]) == 9
+    code, out, _ = run_cli(["verify", "--in", str(out_file)], capsys)
+    assert code == 0
+    assert "class span1: 63 pairs, coverage 15" in out
+    assert "class span2: 588 pairs, coverage 9" in out
+
+
+@pytest.mark.parametrize("command", ["verify", "fill-holes"])
+@pytest.mark.parametrize("n", ["0", "-5", "x"])
+def test_sample_below_one_exit_2(tmp_path, capsys, command, n):
+    gdd_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(gdd_file)], capsys)
+    args = ["verify", "--in", str(gdd_file)] if command == "verify" else \
+        ["fill-holes", "--gdd", str(gdd_file), "--master", str(gdd_file),
+         "--hole-dim", "0", "--out", str(tmp_path / "f.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--sample", n])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--sample: must be an integer >= 1" in out.err
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_verify_directory_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(["verify", "--in", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_km_solve_cli(capsys):
     code, out, _ = run_cli(
         ["km-solve", "--l", "3", "--k", "3", "--q", "2", "--lambda", "1"],

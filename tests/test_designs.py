@@ -121,6 +121,12 @@ def test_sampled_matches_full(gdd633):
     assert rep.sample == (200, 13)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_sampled_needs_a_sample(gdd633, n):
+    with pytest.raises(ValueError, match="sample >= 1"):
+        verify_design(gdd633, mode="sampled", sample=n)
+
+
 def test_sampled_deterministic(gdd633):
     a = verify_gdd(gdd633, mode="sampled", sample=100, seed=4)
     b = verify_gdd(gdd633, mode="sampled", sample=100, seed=4)
@@ -332,6 +338,15 @@ def test_supplementary_random_submultiset():
         assert cd.get(key, 0) + cs.get(key, 0) == 3
 
 
+def test_supplementary_of_mixed_input(gdd633):
+    # the supplement of the gdd's (mixed) supplement is the gdd's block set
+    S = supplementary(gdd633)
+    assert S.groups == gdd633.groups
+    back = supplementary(S)
+    assert dict(back.claimed_lambda_by_class) == {"span1": 0, "span2": 6}
+    assert sorted(back.blocks.items) == sorted(expand_blocks(gdd633))
+
+
 def test_supplementary_rejects_non_simple():
     with pytest.raises(ValueError):
         supplementary(complete_design(4, 3, 2, mult=2))
@@ -519,21 +534,6 @@ def test_gdd_odd_characteristic_full():
     assert sampled.passed
 
 
-def test_sampled_generic_path_matches_fast_path():
-    from random import Random
-    from qgdd.designs import _ImplicitCoverage, _random_2subspace
-    g = build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1}))
-    cov = _ImplicitCoverage(g)
-    rng = Random(3)
-    checked = 0
-    while checked < 20:
-        rows = _random_2subspace(rng, 2, 6)
-        if cov.atlas.classify_rows(rows).span_dim != 2:
-            continue
-        assert cov._mixed_coverage_k3(rows) == cov._mixed_coverage_generic(rows)
-        checked += 1
-
-
 def test_sampled_generic_path_k4_matches_closed_form():
     # coverage of the span-2 representative equals the matrix entry
     from qgdd.designs import _ImplicitCoverage
@@ -548,7 +548,7 @@ def test_sampled_generic_path_k4_matches_closed_form():
     assert cov.coverage(rep.rows) == A.entries[-1][col] == g.claimed_lambda
 
 
-# -- k = 3 sampled kernels against the streaming oracle ---------------------------
+# -- orbit-memoized sampled coverage against fresh counts -------------------------
 
 def _weighted_k3_design(m, l, q, omega_kk):
     """Mixed 3-orbit labels of both r with multiplicities 1, 2, (absent), 3, ..."""
@@ -573,26 +573,70 @@ def _random_line_pair(rng, atlas):
     return vector_ops(atlas.q, atlas.v).rref(atlas.line_rows(W, x))
 
 
+def _fresh_coverage(design, rows):
+    """Blocks through span(rows), counted for this pair alone.
+
+    Every k-superspace of the pair itself is labeled, and the line labels
+    are expanded into blocks and tested for containment: no orbit memo, no
+    representative and no closed form.
+    """
+    from dataclasses import replace
+    from qgdd.designs import _ImplicitCoverage
+    total = _ImplicitCoverage(design)._mixed_coverage_generic(rows)
+    lines_only = replace(design, blocks=replace(design.blocks, labels=(),
+                                                omega_kk=False))
+    for block_rows, mult in expand_blocks(lines_only):
+        block = Subspace(design.q, design.v, block_rows)
+        if all(block.contains_vector(r) for r in rows):
+            total += mult
+    return total
+
+
+def _check_orbit_memo(design, seed, n_pairs=6):
+    """Memoized sampled coverage equals the fresh count on seeded pairs.
+
+    Draws n_pairs span-2 pairs and n_pairs span-1 pairs W.x through one
+    coverage instance, and checks that its memo holds one key per orbit
+    met, at most one per Singer orbit of 2-subspaces plus the span-2 one.
+    Returns the (span-2, span-1) counts.
+    """
+    from qgdd.designs import _ImplicitCoverage, _random_2subspace
+    cov = _ImplicitCoverage(design)
+    atlas = cov.atlas
+    rng = Random(seed)
+    span2 = []
+    while len(span2) < n_pairs:
+        rows = _random_2subspace(rng, atlas.q, atlas.v)
+        if atlas.label_key_rows(rows)[0] == "full":
+            span2.append(rows)
+    span1 = [_random_line_pair(rng, atlas) for _ in range(n_pairs)]
+    counts = []
+    for pairs in (span2, span1):
+        counts.append([cov.coverage(rows) for rows in pairs])
+        assert counts[-1] == [_fresh_coverage(design, rows) for rows in pairs]
+    assert ("full", 2) in cov.memo
+    assert len(cov.memo) == 1 + len({atlas.label_key_rows(r) for r in span1})
+    assert len(cov.memo) <= 1 + len(atlas.singer.orbit_representatives(2))
+    return counts
+
+
 @pytest.mark.parametrize("omega_kk", [False, True])
 @pytest.mark.parametrize("m,l,q", [(2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3),
                                    (3, 3, 3)])
 def test_k3_kernels_match_generic_on_weighted_designs(m, l, q, omega_kk):
-    from qgdd.designs import _ImplicitCoverage, _random_2subspace
-    cov = _ImplicitCoverage(_weighted_k3_design(m, l, q, omega_kk))
-    atlas = cov.atlas
-    rng = Random(100 * m + 10 * l + q)
-    span2 = 0
-    while span2 < 5:
-        rows = _random_2subspace(rng, q, m * l)
-        if atlas.classify_rows(rows).span_dim != 2:
-            continue
-        got = cov._mixed_coverage_k3(rows)
-        assert got == cov._mixed_coverage_generic(rows) > 0
-        span2 += 1
-    span1 = []
-    for _ in range(5):
-        rows = _random_line_pair(rng, atlas)
-        assert atlas.classify_rows(rows).span_dim == 1
-        span1.append(cov._span1_mixed_k3(rows))
-        assert span1[-1] == cov._mixed_coverage_generic(rows)
-    assert any(span1)
+    span2, span1 = _check_orbit_memo(_weighted_k3_design(m, l, q, omega_kk),
+                                     100 * m + 10 * l + q)
+    assert min(span2) > 0 and any(span1)
+    if (m, l, q) == (2, 4, 2):
+        # its span-1 orbits carry different counts, so a memo keyed by the
+        # span class alone would fail here
+        assert len(set(span1)) > 1
+
+
+@pytest.mark.parametrize("seed_v,seed_k", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_orbit_memo_on_pbd_line_labels(seed_v, seed_k):
+    pbd = build_pbd(complete_design(seed_v, seed_k, 2), 2, 3,
+                    GddSelection.of({(2, 3 if seed_v == 3 else 1): 1}))
+    span2, span1 = _check_orbit_memo(pbd, 10 * seed_v + seed_k)
+    claims = dict(pbd.claimed_lambda_by_class)
+    assert (set(span1), set(span2)) == ({claims["span1"]}, {claims["span2"]})

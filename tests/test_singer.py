@@ -117,7 +117,7 @@ def test_matrix_order():
 def test_orbit_members_length():
     action = singer_action(4, 2)
     for o in action.orbit_representatives(2):
-        members = action.orbit_members(o.rep)
+        members = list(action.cycle(o.rep.rows))
         assert len(members) == o.length
         assert len(set(members)) == o.length
 
@@ -176,7 +176,7 @@ def test_h_incidence_brute_force_cross_check():
         T = ro.rep
         for j, co in enumerate(cols):
             count = 0
-            for member in action.orbit_members(co.rep):
+            for member in action.cycle(co.rep.rows):
                 K = Subspace(2, 4, member)
                 if all(K.contains_vector(r) for r in T.rows):
                     count += 1
@@ -229,7 +229,7 @@ def test_km_solutions_reverify():
         counts = Counter()
         for x, orbit in zip(sol, cols):
             if x:
-                for member in action.orbit_members(orbit.rep):
+                for member in action.cycle(orbit.rep.rows):
                     for key in block_pair_keys(member, q, l):
                         counts[key] += 1
         for rows in iter_rref_bases(l, 2, q):
@@ -265,6 +265,6 @@ def test_orbit_properties_random_subspaces(seed, params):
     assert (q ** l - 1) % orbit.length == 0
     assert orbit.length * (q ** orbit.u - 1) == q ** l - 1
     action = singer_action(l, q)
-    members = action.orbit_members(orbit.rep)
+    members = list(action.cycle(orbit.rep.rows))
     assert W.rows in members
     assert orbit.rep.rows == min(members)
