@@ -5,7 +5,7 @@ from .atlas import (GlAtlas, OrbitLabel, OrbitRepresentative, SpanClass,
                     UnclassifiedOrbitError, gl_atlas, gl_order)
 from .fields import FieldTower, FiniteField, build_tower, finite_field
 from .incidence import (brute_force_matrix, closed_form_matrix,
-                        incidence_entry, verify_closed_form)
+                        verify_closed_form)
 from .designs import (DesignInstance, GddSelection, VerificationReport,
                       block_count, break_blocks, build_gdd, build_pbd,
                       desarguesian_spread, design_from_json_dict,

@@ -50,9 +50,6 @@ class SpanClass:
     dim: int
     span_dim: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.dim, self.span_dim)
-
 
 @dataclass(frozen=True)
 class OrbitLabel:

@@ -34,8 +34,8 @@ def _read_design(path: str, strict: bool = True) -> DesignInstance:
     return design_from_json_dict(json.loads(Path(path).read_text()), strict)
 
 
-def _sample_count(text: str) -> int:
-    """argparse type of --sample: an integer >= 1 (usage error otherwise)."""
+def _positive_int(text: str) -> int:
+    """An integer >= 1, for --sample and --threads (usage error otherwise)."""
     try:
         n = int(text)
     except ValueError:
@@ -362,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a design file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--sample", type=_sample_count, default=None)
+    p.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--lenient", action="store_true",
                    help="re-canonicalize non-canonical input rows")
@@ -382,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--master", required=True)
     p.add_argument("--hole-dim", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sample", type=_sample_count, default=None)
+    p.add_argument("--sample", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fill_holes)
 

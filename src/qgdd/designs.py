@@ -4,25 +4,28 @@ Designs live on GF(q)^(ml) with the Desarguesian l-spread as group set and
 are stored either explicitly (block multiset) or implicitly (orbit labels
 with multiplicities, expanded lazily).  Verification is exact counting:
 full sweeps tally every 2-subspace covered by every block; sampled sweeps
-count the blocks through seeded-random 2-subspaces, for implicit designs
-once per GL(m, q^l)-orbit of 2-subspaces (superspace streaming and
-orbit-label membership, or a closed form) and for explicit designs by
-testing every block.
+count the blocks through seeded-random 2-subspaces, for explicit designs by
+testing every block and for implicit designs once per GL(m, q^l)-orbit of
+2-subspaces, as that orbit's incidence row dotted with the design's label
+weights.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 from typing import Iterator, Sequence
 
+from . import incidence
 from .atlas import GlAtlas, OrbitLabel, gl_atlas
 from .singer import n_orbits_with_stabilizer, singer_action
-from .subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
-                        iter_superspace_bases, vector_ops)
+from .subspaces import Subspace, gaussian_binomial, iter_rref_bases, vector_ops
+# Not called here; perfbench/spans.py still traces it under this module.
+from .subspaces import iter_superspace_bases  # noqa: F401
 
 FORMAT_VERSION = 1
 EXPANSION_BUDGET = 2_000_000
@@ -125,9 +128,7 @@ def expand_blocks(design: DesignInstance,
         for gen in _spread_generators(atlas):
             for member in members:
                 yield ops.rref(atlas.line_rows(member, gen)), lw.multiplicity
-    wanted = {lw.label.key(): lw.multiplicity for lw in blocks.labels}
-    if blocks.omega_kk:
-        wanted[("full", blocks.k)] = 1
+    wanted = _label_weights(blocks)
     if not wanted:
         return
     total = gaussian_binomial(v, blocks.k, q)
@@ -139,6 +140,17 @@ def expand_blocks(design: DesignInstance,
         mult = wanted.get(key)
         if mult:
             yield rows, mult
+
+
+def _label_weights(blocks: ImplicitBlocks) -> dict[tuple, int]:
+    """Multiplicity of each k-orbit of an implicit design, by label key.
+
+    The mixed labels and, with omega_kk, the span-k orbit ("full", k).
+    """
+    weights = {lw.label.key(): lw.multiplicity for lw in blocks.labels}
+    if blocks.omega_kk:
+        weights[("full", blocks.k)] = 1
+    return weights
 
 
 def _spread_generators(atlas: GlAtlas) -> list[tuple[int, ...]]:
@@ -180,9 +192,6 @@ class GddSelection:
            omega_kk: bool = False) -> "GddSelection":
         weights = weights or {}
         return GddSelection(tuple(sorted(weights.items())), omega_kk)
-
-    def weight_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.weights)
 
     def validate(self, m: int, l: int, k: int, q: int) -> None:
         if not 3 <= k <= min(m + 1, l):
@@ -325,41 +334,43 @@ def pair_key_of_rows(rows: tuple[int, ...], q: int, v: int) -> tuple:
     return tuple(rows)
 
 
-def _sweep_chunk(args) -> Counter:
-    chunk, q, v = args
+def _sweep_chunk(args) -> tuple[Counter, int]:
+    """Pair-key tally and block count of (rows, multiplicity) items."""
+    items, q, v = args
     counts: Counter = Counter()
-    for rows, mult in chunk:
+    n_blocks = 0
+    for rows, mult in items:
+        n_blocks += mult
         for key in block_pair_keys(rows, q, v):
             counts[key] += mult
-    return counts
+    return counts, n_blocks
 
 
 def coverage_counter(design: DesignInstance, threads: int = 1,
                      budget: int = EXPANSION_BUDGET) -> tuple[Counter, int]:
-    """Pair-coverage counter and block count by full expansion."""
+    """Pair-coverage counter and block count by full expansion.
+
+    threads > 1 splits the blocks over at most os.cpu_count() processes.
+    """
     q, v = design.q, design.v
     expanded = expand_blocks(design, budget=budget)
-    if threads <= 1:
-        counts: Counter = Counter()
-        n_blocks = 0
-        for rows, mult in expanded:
-            n_blocks += mult
-            for key in block_pair_keys(rows, q, v):
-                counts[key] += mult
-        return counts, n_blocks
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
+        return _sweep_chunk((expanded, q, v))
     blocks = list(expanded)
-    n_blocks = sum(m for _, m in blocks)
-    chunk_size = max(1, (len(blocks) + threads - 1) // threads)
-    chunks = [blocks[i:i + chunk_size] for i in range(0, len(blocks), chunk_size)]
-    counts = Counter()
+    chunk_size = max(1, (len(blocks) + workers - 1) // workers)
+    chunks = [(blocks[i:i + chunk_size], q, v)
+              for i in range(0, len(blocks), chunk_size)]
+    counts: Counter = Counter()
+    n_blocks = 0
     try:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_sweep_chunk, [(c, q, v) for c in chunks]):
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part, n in pool.map(_sweep_chunk, chunks):
                 counts.update(part)
+                n_blocks += n
     except OSError:  # pragma: no cover - process pools unavailable
-        for c in chunks:
-            counts.update(_sweep_chunk((c, q, v)))
+        return _sweep_chunk((blocks, q, v))
     return counts, n_blocks
 
 
@@ -599,21 +610,19 @@ class _ImplicitCoverage:
     ("full", 2) for the span-2 pairs, which form one orbit, and
     ("line", 2, Singer rep of W) for a pair U = W.x inside a spread line.
     Each key is counted once per instance, that is once per verification
-    call.  Span-2 pairs, and span-1 pairs for k != 3, stream their
-    k-superspaces and label each (_mixed_coverage_generic).  For k = 3
-    every superspace of W.x outside its spread line has the mixed r=1
-    label of W, a closed form.  Line blocks are counted on the
-    representative W.
+    call, as U's row of the incidence matrix dotted with the label weights.
+    The span-2 row is streamed (incidence.row_coverage).  The one nonzero
+    mixed entry of the row of W.x is the r=1 diagonal entry, a closed form
+    for every k, in the column of W's label.  Line blocks are counted on
+    the representative W.
     """
 
     def __init__(self, design: DesignInstance):
         blocks = design.blocks
         self.atlas = gl_atlas(blocks.m, blocks.l, design.q)
         self.k = blocks.k
-        self.omega_mult = 1 if blocks.omega_kk else 0
-        self.mixed_weights = {lw.label.key(): lw.multiplicity
-                              for lw in blocks.labels}
-        self.line_weights = list(blocks.line_labels)
+        self.weights = _label_weights(blocks)
+        self.line_weights = blocks.line_labels
         self.q, self.v = design.q, design.v
         self.memo: dict[tuple, int] = {}
 
@@ -625,15 +634,18 @@ class _ImplicitCoverage:
         return count
 
     def _count(self, rows: tuple[int, ...], key: tuple) -> int:
-        mixed = self.mixed_weights or self.omega_mult
+        atlas, weights, k = self.atlas, self.weights, self.k
         if key[0] == "full":
             # line blocks live inside single spread lines; span-2 pairs do not
-            return self._mixed_coverage_generic(rows) if mixed else 0
+            if not weights:
+                return 0
+            row = incidence.row_coverage(atlas, Subspace(self.q, self.v, rows), k)
+            return sum(weights.get(col, 0) * n for col, n in row.items())
         rep = key[2]
         total = self._line_coverage(rep)
-        if mixed:
-            total += (self._span1_mixed_k3(rep) if self.k == 3
-                      else self._mixed_coverage_generic(rows))
+        w = weights.get(("mixed", k, 1, rep), 0)
+        if w:
+            total += w * incidence.diagonal_entry(atlas.m, atlas.l, k, self.q)
         return total
 
     def _line_coverage(self, rep: tuple[int, ...]) -> int:
@@ -649,29 +661,6 @@ class _ImplicitCoverage:
                 member_sub = Subspace(atlas.q, atlas.l, member)
                 if all(member_sub.contains_vector(r) for r in rep):
                     total += lw.multiplicity
-        return total
-
-    def _span1_mixed_k3(self, rep: tuple[int, ...]) -> int:
-        """Mixed coverage of a span-1 pair W.x by 3-blocks, in closed form.
-
-        Each of the (q^(v-2) - q^(l-2))/(q-1) superspaces <W.x, y> with y
-        outside the spread line GF(q^l).x has the mixed r=1 label of W.
-        """
-        q = self.q
-        w = self.mixed_weights.get(("mixed", 3, 1, rep), 0)
-        return w * (q ** (self.v - 2) - q ** (self.atlas.l - 2)) // (q - 1)
-
-    def _mixed_coverage_generic(self, rows: tuple[int, ...]) -> int:
-        atlas = self.atlas
-        weights = self.mixed_weights
-        sub = Subspace(self.q, self.v, rows)
-        total = 0
-        omega_key = ("full", self.k)
-        for _, key in atlas.label_keys(iter_superspace_bases(sub, self.k)):
-            if key == omega_key:
-                total += self.omega_mult
-            elif key[0] == "mixed":
-                total += weights.get(key, 0)
         return total
 
 # ---------------------------------------------------------------------------
@@ -896,10 +885,7 @@ def _check_hole_restriction(q: int, n: int, k: int, hole: Subspace,
         if inside:
             raise ValueError("blocks inside a hole of dimension < 2")
         return
-    counts: Counter = Counter()
-    for rows, mult in inside:
-        for key in block_pair_keys(rows, q, hole.v):
-            counts[key] += mult
+    counts, _ = _sweep_chunk((inside, q, hole.v))
     for key in block_pair_keys(hole.rows, q, hole.v):
         if counts.get(key, 0) != lam:
             raise ValueError(
@@ -1064,6 +1050,8 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         m, l, k = (_int_field(imp, name, 1) for name in ("m", "l", "k"))
         if m * l != v:
             raise ValueError("implicit structure does not match the ambient space")
+        if strict and not 3 <= k <= min(m + 1, l):
+            raise ValueError(f"implicit k={k} outside 3..min(m+1, l)")
         labels = []
         for entry in _object_list(imp["labels"], "labels"):
             r = _int_field(entry, "r", 1, k - 1)
@@ -1110,8 +1098,13 @@ def _label_rep(entry: dict, q: int, l: int, dim: int,
     if rep.dim != dim:
         raise ValueError(f"label representative has dimension {rep.dim}, "
                          f"expected {dim}")
-    if strict and _orbit_rep_check(q, l, rep.rows) != rep.rows:
-        raise ValueError("label representative is not orbit-canonical")
+    if strict:
+        if _orbit_rep_check(q, l, rep.rows) != rep.rows:
+            raise ValueError("label representative is not orbit-canonical")
+        u = singer_action(l, q).orbit_containing(rep.rows).u
+        if type(entry.get("u")) is not int or entry["u"] != u:
+            raise ValueError(f"label u must be {u}, the Singer stabilizer exponent "
+                             f"of its representative, got {entry.get('u')!r}")
     return rep.rows
 
 

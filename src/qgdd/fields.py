@@ -258,9 +258,6 @@ class FiniteField:
             return self.exp[self.order - 1 - self.log[a]]
         return self._pow_raw(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             return 0 if n else 1
@@ -280,9 +277,6 @@ class FiniteField:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return unpack_coords(a, self.p, self.e)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        return pack_coords(coeffs, self.p)
 
     def elements(self) -> range:
         return range(self.order)

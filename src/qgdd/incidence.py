@@ -179,16 +179,6 @@ def row_coverage(atlas: GlAtlas, realized: Subspace, k: int) -> Counter:
                    atlas.label_keys(iter_superspace_bases(realized, k)))
 
 
-def incidence_entry(m: int, l: int, q: int, row_label: OrbitLabel,
-                    col_label: OrbitLabel) -> int:
-    """Brute-force incidence count for one (row, column) orbit pair."""
-    atlas = gl_atlas(m, l, q)
-    realized = realize_2row(atlas, row_label)
-    key = col_label.key()
-    return sum(1 for _, got in atlas.label_keys(
-        iter_superspace_bases(realized, col_label.dim)) if got == key)
-
-
 def brute_force_matrix(m: int, l: int, k: int, q: int,
                        row_subset: list[int] | None = None) -> AkMatrix:
     """The same block matrix computed by streaming superspaces of each row."""

@@ -271,6 +271,23 @@ def test_sample_below_one_exit_2(tmp_path, capsys, command, n):
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "fill-holes"])
+@pytest.mark.parametrize("n", ["0", "-3", "x"])
+def test_threads_below_one_exit_2(tmp_path, capsys, command, n):
+    gdd_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(gdd_file)], capsys)
+    args = ["verify", "--in", str(gdd_file)] if command == "verify" else \
+        ["fill-holes", "--gdd", str(gdd_file), "--master", str(gdd_file),
+         "--hole-dim", "0", "--out", str(tmp_path / "f.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--threads", n])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--threads: must be an integer >= 1" in out.err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_verify_directory_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["verify", "--in", str(tmp_path)], capsys)
     assert code == 2 and out == ""

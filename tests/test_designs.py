@@ -412,6 +412,15 @@ def _set_implicit(field, value):
                                    "multiplicity": 1}]),
     _set_implicit("line_labels", [{"rep": [[1, 0, 0]], "dim": 0,
                                    "multiplicity": 1}]),
+    _set_implicit("k", 4),  # k <= min(m + 1, l) = 3
+    _set_implicit("k", 2),
+    _set_label("u", 1),  # the label's representative has u = 3
+    _set_label("u", None),
+    _set_label("u", "3"),
+    _set_implicit("line_labels", [{"rep": [[1, 0, 0], [0, 1, 0]], "dim": 2,
+                                   "multiplicity": 1, "u": 3}]),  # u = 1
+    _set_implicit("line_labels", [{"rep": [[1, 0, 0], [0, 1, 0]], "dim": 2,
+                                   "multiplicity": 1}]),
 ])
 def test_json_rejects_malformed_labels(gdd633, mutate):
     data = json.loads(json.dumps(design_to_json_dict(gdd633)))
@@ -576,13 +585,21 @@ def _random_line_pair(rng, atlas):
 def _fresh_coverage(design, rows):
     """Blocks through span(rows), counted for this pair alone.
 
-    Every k-superspace of the pair itself is labeled, and the line labels
-    are expanded into blocks and tested for containment: no orbit memo, no
-    representative and no closed form.
+    Every k-superspace of the pair itself is labeled and weighted by its
+    label's multiplicity, and the line labels are expanded into blocks and
+    tested for containment: no orbit memo, no representative and no closed
+    form.
     """
     from dataclasses import replace
-    from qgdd.designs import _ImplicitCoverage
-    total = _ImplicitCoverage(design)._mixed_coverage_generic(rows)
+    from qgdd.atlas import gl_atlas
+    from qgdd.incidence import row_coverage
+    b = design.blocks
+    weights = {lw.label.key(): lw.multiplicity for lw in b.labels}
+    if b.omega_kk:
+        weights[("full", b.k)] = 1
+    superspaces = row_coverage(gl_atlas(b.m, b.l, design.q),
+                               Subspace(design.q, design.v, rows), b.k)
+    total = sum(weights.get(key, 0) * n for key, n in superspaces.items())
     lines_only = replace(design, blocks=replace(design.blocks, labels=(),
                                                 omega_kk=False))
     for block_rows, mult in expand_blocks(lines_only):
@@ -640,3 +657,52 @@ def test_orbit_memo_on_pbd_line_labels(seed_v, seed_k):
     span2, span1 = _check_orbit_memo(pbd, 10 * seed_v + seed_k)
     claims = dict(pbd.claimed_lambda_by_class)
     assert (set(span1), set(span2)) == ({claims["span1"]}, {claims["span2"]})
+
+
+def test_span1_coverage_k4_is_the_r1_diagonal():
+    # a pair W.x at k = 4 lies in the orbit of W's r=1 label (multiplicity
+    # 2) through the diagonal entry at k = 4, and in no r=2 block
+    from qgdd.atlas import gl_atlas
+    from qgdd.designs import _ImplicitCoverage
+    from qgdd.subspaces import vector_ops
+    atlas = gl_atlas(3, 4, 2)
+    r1 = atlas.representatives(4, 1)[0].label
+    r2 = atlas.representatives(4, 2)[0].label
+    blocks = ImplicitBlocks(3, 4, 4, (LabelWeight(r1, 2), LabelWeight(r2, 1)),
+                            (), False)
+    design = DesignInstance(q=2, v=12, kind="design", K=(4,),
+                            claimed_lambda=None, blocks=blocks)
+    rows = vector_ops(2, 12).rref(atlas.line_rows(r1.rep_rows, (0, 1, 6)))
+    assert atlas.label_key_rows(rows) == ("line", 2, r1.rep_rows)
+    assert _ImplicitCoverage(design).coverage(rows) == _fresh_coverage(design, rows) > 0
+
+
+def test_coverage_counter_caps_workers_at_cpu_count(gdd633, monkeypatch):
+    import concurrent.futures
+    import os
+    started = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = coverage_counter(gdd633, threads=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert coverage_counter(gdd633, threads=10 ** 6) == serial
+    assert coverage_counter(gdd633, threads=2) == serial
+    assert started == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert coverage_counter(gdd633, threads=8) == serial
+    assert started == [3, 2]

@@ -5,9 +5,9 @@ import pytest
 
 from qgdd.atlas import OrbitLabel, gl_atlas
 from qgdd.incidence import (brute_force_matrix, closed_form_matrix,
-                            diagonal_entry, full_class_entry, incidence_entry,
-                            mixed_row_entry, realize_2row, row_coverage,
-                            span1_row_entry, verify_closed_form)
+                            diagonal_entry, full_class_entry, mixed_row_entry,
+                            realize_2row, row_coverage, span1_row_entry,
+                            verify_closed_form)
 from qgdd.subspaces import Subspace, gaussian_binomial
 
 
@@ -50,7 +50,7 @@ def test_incidence_entry_zero_blocks():
     line_label = OrbitLabel(2, 1, None,
                             at.singer.orbit_representatives(2)[0].rep.rows)
     full_label = OrbitLabel(3, 3, None, None)
-    assert incidence_entry(3, 3, 2, line_label, full_label) == 0
+    assert row_coverage(at, realize_2row(at, line_label), 3)[full_label.key()] == 0
 
 
 def test_incidence_entry_diagonal_and_mixed():
@@ -58,11 +58,11 @@ def test_incidence_entry_diagonal_and_mixed():
     two_orbit = at.singer.orbit_representatives(2)[0]
     line_label = OrbitLabel(2, 1, None, two_orbit.rep.rows)
     r1_label = OrbitLabel(3, 2, 1, two_orbit.rep.rows)
-    assert incidence_entry(2, 3, 2, line_label, r1_label) == 14
+    assert row_coverage(at, realize_2row(at, line_label), 3)[r1_label.key()] == 14
     full2 = OrbitLabel(2, 2, None, None)
     three_orbit = at.singer.orbit_representatives(3)[0]
     r2_label = OrbitLabel(3, 2, 2, three_orbit.rep.rows)
-    assert incidence_entry(2, 3, 2, full2, r2_label) == 6
+    assert row_coverage(at, realize_2row(at, full2), 3)[r2_label.key()] == 6
     # brute count over the 15 superspaces directly
     realized = at.full_class_rep(2)
     cov = row_coverage(at, realized, 3)
