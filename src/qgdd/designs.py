@@ -211,29 +211,15 @@ class GddSelection:
 
 
 def gdd_lambda(selection: GddSelection, m: int, l: int, k: int, q: int) -> int:
-    """The coverage count of the group divisible design built from a selection."""
+    """The coverage count of the group divisible design built from a selection.
+
+    The span-2 row of the incidence matrix dotted with the selection.
+    """
     selection.validate(m, l, k, q)
-    Q = q ** l
-    lam = 0
-    for (r, u), w in selection.weights:
-        if w == 0:
-            continue
-        num = (q ** k - 1) * (q ** k - q)
-        for j in range(2, k - 1):
-            num *= Q ** m - Q ** j
-        den = (q ** u - 1)
-        for j in range(r + 1, k):
-            den *= q ** k - q ** j
-        assert num % den == 0
-        lam += w * (num // den)
+    lam = sum(w * incidence.mixed_row_entry(m, l, k, q, r, u)
+              for (r, u), w in selection.weights if w)
     if selection.omega_kk:
-        num = 1
-        den = 1
-        for j in range(2, k):
-            num *= q ** ((m - j) * l) - 1
-            den *= q ** (k - j) - 1
-        assert num % den == 0
-        lam += q ** ((l - 1) * (k * (k - 1) // 2 - 1)) * (num // den)
+        lam += incidence.full_class_entry(m, l, k, q)
     return lam
 
 
@@ -375,6 +361,7 @@ def coverage_counter(design: DesignInstance, threads: int = 1,
 
 
 def group_pair_keys(groups: Sequence[Subspace]) -> set[tuple]:
+    """Keys of every 2-subspace inside a group, by brute force (test oracle)."""
     keys: set[tuple] = set()
     for g in groups:
         keys.update(block_pair_keys(g.rows, g.q, g.v))
@@ -454,23 +441,28 @@ class _ClassTally:
         self.design = design
         self.expected = _expected_by_class(design)
         groups = _design_groups(design)
-        self.group_keys = group_pair_keys(groups) if groups else None
+        self.group_of = _group_index(design.q, design.v, groups) if groups else None
         self.counts: dict[str, int] = {}
         self.values: dict[str, set[int]] = {}
         self.first: dict[str, int] = {}
         self.failures: list[dict] = []
 
-    def record(self, key: tuple, got: int) -> None:
-        if self.group_keys is None:
-            cls = "all"
-        else:
-            cls = "span1" if key in self.group_keys else "span2"
+    def classify(self, rows: tuple[int, ...]) -> str:
+        """span1 when both basis rows, hence the whole 2-subspace, lie in one group."""
+        group_of = self.group_of
+        if group_of is None:
+            return "all"
+        return "span1" if group_of[rows[0]] == group_of[rows[1]] else "span2"
+
+    def record(self, rows: tuple[int, ...], got: int) -> None:
+        cls = self.classify(rows)
         self.counts[cls] = self.counts.get(cls, 0) + 1
         self.values.setdefault(cls, set()).add(got)
         want = self.expected.get(cls)
         if want is None:
             want = self.first.setdefault(cls, got)
         if got != want and len(self.failures) < 10:
+            key = pair_key_of_rows(rows, self.design.q, self.design.v)
             self.failures.append({"pair_key": [int(x) for x in key],
                                   "class": cls, "count": got,
                                   "expected": want})
@@ -521,42 +513,44 @@ def verify_design(design: DesignInstance, mode: str = "full",
 def verify_gdd(design: DesignInstance, mode: str = "full",
                sample: int = 10_000, seed: int = 0, threads: int = 1,
                budget: int = EXPANSION_BUDGET) -> VerificationReport:
-    """verify_design plus the group-partition invariant check."""
+    """verify_design on a gdd instance, which must carry groups.
+
+    The verification itself checks that the groups partition the space.
+    """
     if design.kind != "gdd":
         raise ValueError("verify_gdd needs a gdd instance")
-    groups = _design_groups(design)
-    if not groups:
+    if not _design_groups(design):
         raise ValueError("gdd instance has no group set")
-    _check_groups_partition(design.q, design.v, groups)
     return verify_design(design, mode=mode, sample=sample, seed=seed,
                          threads=threads, budget=budget)
 
 
-def _check_groups_partition(q: int, v: int, groups: Sequence[Subspace]) -> None:
-    total = sum(q ** g.dim - 1 for g in groups)
-    if total != q ** v - 1:
+def _group_index(q: int, v: int, groups: Sequence[Subspace]) -> dict[int, int]:
+    """Index of the group holding each nonzero vector of GF(q)^v.
+
+    Raises unless the groups partition the nonzero vectors.
+    """
+    if sum(q ** g.dim - 1 for g in groups) != q ** v - 1:
         raise ValueError("groups do not cover the 1-subspaces exactly once")
-    seen: set[int] = set()
-    for g in groups:
+    index: dict[int, int] = {}
+    for i, g in enumerate(groups):
         for x in g.vectors():
-            if x:
-                if x in seen:
-                    raise ValueError("groups overlap in a nonzero vector")
-                seen.add(x)
+            if x and index.setdefault(x, i) != i:
+                raise ValueError("groups overlap in a nonzero vector")
+    return index
 
 
 def _verify_full(design: DesignInstance, threads: int,
                  budget: int) -> VerificationReport:
     q, v = design.q, design.v
+    tally = _ClassTally(design)  # checks the groups before the sweep
     n_pairs = gaussian_binomial(v, 2, q)
     if n_pairs > PAIR_SWEEP_BUDGET:
         raise ValueError(
             f"full verification sweeps {n_pairs} 2-subspaces; use sampled mode")
     counts, n_blocks = coverage_counter(design, threads, budget)
-    tally = _ClassTally(design)
     for rows in iter_rref_bases(v, 2, q):
-        key = pair_key_of_rows(rows, q, v)
-        tally.record(key, counts.get(key, 0))
+        tally.record(rows, counts.get(pair_key_of_rows(rows, q, v), 0))
     return tally.report("full", n_blocks)
 
 
@@ -581,7 +575,7 @@ def _verify_sampled(design: DesignInstance, sample: int,
         counter = _ExplicitCoverage(design)
     for _ in range(sample):
         rows = _random_2subspace(rng, q, v)
-        tally.record(pair_key_of_rows(rows, q, v), counter.coverage(rows))
+        tally.record(rows, counter.coverage(rows))
     return tally.report("sampled", block_count(design), sample=(sample, seed))
 
 
@@ -1005,6 +999,11 @@ def design_to_json_dict(design: DesignInstance) -> dict:
 
 
 def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
+    """Read a design file's JSON object.
+
+    strict=False re-canonicalizes basis rows that are not in echelon form;
+    every other check runs in both modes.
+    """
     if not isinstance(data, dict):
         raise ValueError("a design file must hold a JSON object")
     if data.get("format_version") != FORMAT_VERSION:
@@ -1050,7 +1049,7 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         m, l, k = (_int_field(imp, name, 1) for name in ("m", "l", "k"))
         if m * l != v:
             raise ValueError("implicit structure does not match the ambient space")
-        if strict and not 3 <= k <= min(m + 1, l):
+        if not 3 <= k <= min(m + 1, l):
             raise ValueError(f"implicit k={k} outside 3..min(m+1, l)")
         labels = []
         for entry in _object_list(imp["labels"], "labels"):
@@ -1066,14 +1065,11 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
                                            _int_field(entry, "multiplicity", 1)))
         blocks = ImplicitBlocks(m, l, k, tuple(labels), tuple(line_labels),
                                 bool(imp.get("omega_kk", False)))
-    design = DesignInstance(q=q, v=v, kind=kind, K=K, claimed_lambda=lam,
-                            blocks=blocks, groups=groups,
-                            claimed_lambda_by_class=by_class_t)
-    if strict and kind == "gdd":
-        g = _design_groups(design)
-        if g:
-            _check_groups_partition(q, v, g)
-    return design
+    if kind == "gdd" and groups:
+        _group_index(q, v, groups)
+    return DesignInstance(q=q, v=v, kind=kind, K=K, claimed_lambda=lam,
+                          blocks=blocks, groups=groups,
+                          claimed_lambda_by_class=by_class_t)
 
 
 def _object_list(value, what: str) -> list[dict]:
@@ -1093,18 +1089,21 @@ def _int_field(entry: dict, name: str, lo: int, hi: int | None = None) -> int:
 
 def _label_rep(entry: dict, q: int, l: int, dim: int,
                strict: bool) -> tuple[int, ...]:
-    """Canonical rows of a label's representative, which must span dim."""
+    """Canonical rows of a label's representative, which must span dim.
+
+    The rows must be the canonical member of their Singer orbit, and u its
+    stabilizer exponent; strict only governs the echelon form of the rows.
+    """
     rep = subspace_from_lists(entry.get("rep"), q, l, strict)
     if rep.dim != dim:
         raise ValueError(f"label representative has dimension {rep.dim}, "
                          f"expected {dim}")
-    if strict:
-        if _orbit_rep_check(q, l, rep.rows) != rep.rows:
-            raise ValueError("label representative is not orbit-canonical")
-        u = singer_action(l, q).orbit_containing(rep.rows).u
-        if type(entry.get("u")) is not int or entry["u"] != u:
-            raise ValueError(f"label u must be {u}, the Singer stabilizer exponent "
-                             f"of its representative, got {entry.get('u')!r}")
+    if _orbit_rep_check(q, l, rep.rows) != rep.rows:
+        raise ValueError("label representative is not orbit-canonical")
+    u = singer_action(l, q).orbit_containing(rep.rows).u
+    if type(entry.get("u")) is not int or entry["u"] != u:
+        raise ValueError(f"label u must be {u}, the Singer stabilizer exponent "
+                         f"of its representative, got {entry.get('u')!r}")
     return rep.rows
 
 

@@ -488,12 +488,6 @@ class FieldTower:
                 deps.append(dep[width:])
         return [(piv, row[:width], row[width:]) for piv, row in rows], deps
 
-    def span_dim_over_middle(self, subspace) -> int:
-        """GF(q^l)-dimension of the GF(q^l)-span of a flattened subspace."""
-        if subspace.v != self.v or subspace.q != self.q:
-            raise ValueError("subspace does not live in this tower's space")
-        return self.mid_rank([self.unflatten_packed(r) for r in subspace.rows])
-
     def __repr__(self) -> str:
         return f"FieldTower(GF({self.q}) < GF({self.q}^{self.l}), m={self.m})"
 

@@ -27,9 +27,6 @@ class LabeledIntMatrix:
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.entries)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
     def diff(self, other: "LabeledIntMatrix") -> list[tuple[int, int, int, int]]:
         """Positions (i, j, self_entry, other_entry) where the matrices differ."""
         if self.shape != other.shape:

@@ -123,9 +123,6 @@ class VectorOps:
     def vector_from_coords(self, coords: Sequence[int]) -> int:
         return pack_coords(coords, self.q)
 
-    def coords(self, a: int) -> tuple[int, ...]:
-        return unpack_coords(a, self.q, self.v)
-
 
 def _rref2(rows: Iterable[int]) -> tuple[int, ...]:
     basis: list[int] = []

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,57 @@ def test_verify_malformed_labels_exit_2(tmp_path, capsys, field, value):
     code, out, err = run_cli(["verify", "--in", str(out_file)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _other_orbit_member(data):
+    """Replace the first label's rep by another member of its Singer orbit."""
+    from qgdd.singer import singer_action
+    from qgdd.subspaces import Subspace, canonicalize
+    imp = data["blocks"]["implicit"]
+    label = imp["labels"][0]
+    rep = canonicalize(label["rep"], data["q"], imp["l"]).rows
+    other = next(m for m in singer_action(imp["l"], data["q"]).cycle(rep)
+                 if m != rep)
+    label["rep"] = Subspace(data["q"], imp["l"], other).basis_lists()
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("params,mutate", [
+    (("3", "2,3=1"), lambda d: d["blocks"]["implicit"].update(k=4)),
+    (("3", "2,3=1"), lambda d: d["blocks"]["implicit"]["labels"][0].update(u=1)),
+    (("4", "2,1=1"), _other_orbit_member),
+], ids=["k=4", "u=1", "rep-off-canonical"])
+def test_verify_malformed_implicit_exit_2_in_both_modes(tmp_path, capsys, params,
+                                                        mutate, lenient):
+    out_file = tmp_path / "g.json"
+    l, select = params
+    run_cli(["build-gdd", "--m", "2", "--l", l, "--k", "3", "--q", "2",
+             "--select", select, "--out", str(out_file)], capsys)
+    data = json.loads(out_file.read_text())
+    mutate(data)
+    out_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(out_file)]
+                             + ["--lenient"] * lenient, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("how,message", [
+    ("truncated", "error: groups do not cover the 1-subspaces exactly once\n"),
+    ("overlap", "error: groups overlap in a nonzero vector\n"),
+], ids=["truncated", "overlap"])
+def test_verify_broken_groups_exit_2(tmp_path, capsys, how, message, lenient):
+    out_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(out_file)], capsys)
+    data = json.loads(out_file.read_text())
+    groups = data["groups"]
+    data["groups"] = groups[:-1] + (groups[:1] if how == "overlap" else [])
+    out_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(out_file)]
+                             + ["--lenient"] * lenient, capsys)
+    assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize("field", ["q", "v", "K", "implicit.m", "implicit.l",
@@ -315,3 +368,15 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "7"
+
+
+def test_atlas_survey_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "atlas_survey.py"),
+                           "--points", "2,3,3,2;2,4,3,2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "lambda = 6\n" in proc.stdout
+    assert "lambda = 42\n" in proc.stdout

@@ -517,6 +517,64 @@ def test_gdd_groups_partition_enforced(gdd633):
         design_from_json_dict(data)
 
 
+# -- the vector -> group index ---------------------------------------------------------
+
+@pytest.mark.parametrize("case", [(2, 3, 2), (2, 3, 3), (2, 4, 2), "mixed-dim"])
+def test_group_index_matches_group_pair_keys(case):
+    from qgdd.designs import _ClassTally, _group_index, group_pair_keys
+    if case == "mixed-dim":  # a 2-subspace of GF(2)^3 and the four points off it
+        q, v = 2, 3
+        points = [Subspace.span(2, 3, [x]) for x in (4, 5, 6, 7)]
+        groups = (points[0], Subspace.span(2, 3, [1, 2]), *points[1:])
+    else:
+        m, l, q = case
+        v, groups = m * l, tuple(desarguesian_spread(m, l, q))
+    index = _group_index(q, v, groups)
+    assert len(index) == q ** v - 1
+    for i, g in enumerate(groups):
+        assert all(index[x] == i for x in g.vectors() if x)
+    tally = _ClassTally(DesignInstance(
+        q=q, v=v, kind="mixed", K=(3,), claimed_lambda=None,
+        blocks=ExplicitBlocks(()), groups=groups))
+    # a point group holds no 2-subspace (and block_pair_keys needs dim >= 2)
+    inside = group_pair_keys([g for g in groups if g.dim >= 2])
+    classes = Counter()
+    for rows in iter_rref_bases(v, 2, q):
+        want = "span1" if pair_key_of_rows(rows, q, v) in inside else "span2"
+        assert tally.classify(rows) == want
+        classes[want] += 1
+    assert classes["span1"] == len(inside)
+
+
+def test_verify_with_point_groups():
+    # every 2-subspace is a block once; only the group plane lies inside a group
+    points = [Subspace.span(2, 3, [x]) for x in (4, 5, 6, 7)]
+    design = DesignInstance(
+        q=2, v=3, kind="mixed", K=(2,), claimed_lambda=None,
+        blocks=make_explicit((rows, 1) for rows in iter_rref_bases(3, 2, 2)),
+        groups=(Subspace.span(2, 3, [1, 2]), *points),
+        claimed_lambda_by_class=(("span1", 1), ("span2", 1)))
+    report = verify_design(design)
+    assert report.passed
+    assert dict(report.pair_counts) == {"span1": 1, "span2": 6}
+
+
+@pytest.mark.parametrize("how,message", [
+    ("truncated", "do not cover the 1-subspaces exactly once"),
+    ("overlap", "overlap in a nonzero vector"),
+], ids=["truncated", "overlap"])
+@pytest.mark.parametrize("mode", ["full", "sampled"])
+def test_group_partition_errors_at_verify(gdd633, how, message, mode):
+    from dataclasses import replace
+    groups = gdd633.groups[:-1] + (gdd633.groups[:1] if how == "overlap" else ())
+    with pytest.raises(ValueError, match=message):
+        verify_gdd(replace(gdd633, groups=groups), mode=mode, sample=50)
+    mixed = replace(supplementary(gdd633), groups=groups)
+    assert mixed.kind == "mixed"
+    with pytest.raises(ValueError, match=message):
+        verify_design(mixed, mode=mode, sample=50)
+
+
 def test_build_gdd_explicit_label_choice():
     # choosing a different orbit than the canonical first one
     at_params = (2, 7, 3, 2)

@@ -129,17 +129,19 @@ def test_scalar_multiplication_induces_invertible_matrix(s):
     assert vector_ops(2, 6).rank(rows) == 6
 
 
-def test_span_dim_over_middle_examples():
-    t = build_tower(2, 1, 3, 2)
+def test_span_dim_examples():
+    from qgdd.atlas import gl_atlas
+    at = gl_atlas(2, 3, 2)
+    t = at.tower
     w = t.ext.w
     Y1 = t.flatten_packed((1, 0))
     Y2 = t.flatten_packed((0, 1))
     x2Y1 = t.flatten_packed((w, 0))
     x2Y1_plus_x2Y2 = t.flatten_packed((w, w))
-    assert t.span_dim_over_middle(Subspace.span(2, 6, [Y1, x2Y1])) == 1
-    assert t.span_dim_over_middle(Subspace.span(2, 6, [Y1, Y2])) == 2
-    assert t.span_dim_over_middle(
-        Subspace.span(2, 6, [Y1, Y2, x2Y1_plus_x2Y2])) == 2
+    assert at.classify(Subspace.span(2, 6, [Y1, x2Y1])).span_dim == 1
+    assert at.classify(Subspace.span(2, 6, [Y1, Y2])).span_dim == 2
+    assert at.classify(
+        Subspace.span(2, 6, [Y1, Y2, x2Y1_plus_x2Y2])).span_dim == 2
 
 
 # (tower, vector length): GF(8)^3, GF(9)^2, and length-3 columns over GF(16)
@@ -198,10 +200,10 @@ def test_span_dim_invariant_under_middle_linear_maps():
     at = gl_atlas(2, 3, 2)
     rng = Random(5)
     W = Subspace.span(2, 6, [9, 18, 27])
-    d0 = at.tower.span_dim_over_middle(W)
+    d0 = at.classify(W).span_dim
     for _ in range(25):
         g = at.random_gl(rng)
-        assert at.tower.span_dim_over_middle(at.apply_matrix(g, W)) == d0
+        assert at.classify(at.apply_matrix(g, W)).span_dim == d0
 
 
 def test_extension_with_nonprime_base():
