@@ -161,10 +161,7 @@ class GlAtlas:
         raising, so streaming sweeps can tally them.  One-shot; sweeps over
         many bases use label_keys.
         """
-        tower = self.tower
-        vecs = [tower.unflatten_packed(r) for r in rows]
-        echelon, deps = tower.mid_echelon(vecs)
-        return self._key_of(vecs, len(echelon), deps, {})
+        return next(self.label_keys((rows,)))[1]
 
     def label_keys(self, bases: Iterable[Sequence[int]]
                    ) -> Iterator[tuple[Sequence[int], tuple]]:
@@ -351,6 +348,8 @@ class GlAtlas:
             raise ValueError(f"k={k} outside 3..min(m+1, l)")
         if not 1 <= r <= k - 1:
             raise ValueError("need 1 <= r <= k-1")
+        if u < 1:
+            raise ValueError(f"u={u} must be a positive integer")
         if math.gcd(r + 1, self.l) % u:
             raise ValueError(f"u={u} does not divide gcd(r+1, l)")
 

@@ -2,11 +2,12 @@
 
 Designs live on GF(q)^(ml) with the Desarguesian l-spread as group set and
 are stored either explicitly (block multiset) or implicitly (orbit labels
-with multiplicities, expanded lazily).  Verification is exact counting:
-full sweeps tally every 2-subspace covered by every block; sampled sweeps
-count the blocks through seeded-random 2-subspaces, for explicit designs by
-testing every block and for implicit designs once per GL(m, q^l)-orbit of
-2-subspaces, as that orbit's incidence row dotted with the design's label
+with multiplicities, expanded lazily).  Verification is exact counting
+over a stream of 2-subspaces, each keyed by its canonical basis rows: every
+2-subspace in full mode, seeded-random ones in sampled mode.  The blocks
+through each are read from one tally of the pairs inside every block, or,
+for a sampled implicit design, counted once per GL(m, q^l)-orbit of
+2-subspaces as that orbit's incidence row dotted with the design's label
 weights.
 """
 
@@ -199,6 +200,8 @@ class GddSelection:
         for (r, u), w in self.weights:
             if not 2 <= r <= k - 1:
                 raise ValueError(f"selection r={r} outside 2..k-1")
+            if u < 1:
+                raise ValueError(f"u={u} must be a positive integer")
             if math.gcd(r + 1, l) % u:
                 raise ValueError(f"u={u} does not divide gcd(r+1, l)")
             bound = n_orbits_with_stabilizer(r + 1, u, l, q)
@@ -259,45 +262,36 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
 # pair keys and coverage sweeps
 
 @lru_cache(maxsize=None)
-def _coeff_pair_masks(d: int) -> tuple[tuple[int, int, int], ...]:
-    """Coefficient 2-subspaces of GF(2)^d as triples of nonzero masks."""
-    return tuple((a[0], a[1], a[0] ^ a[1]) for a in iter_rref_bases(d, 2, 2))
+def _coeff_pair_rows(d: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Canonical coefficient bases of the 2-subspaces of GF(q)^d (none for d < 2)."""
+    return tuple(iter_rref_bases(d, 2, q)) if d >= 2 else ()
 
 
-@lru_cache(maxsize=None)
-def _coeff_pair_rows(d: int, q: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(iter_rref_bases(d, 2, q))
+def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int, int]]:
+    """Canonical basis rows of each 2-subspace inside the block spanned by rows.
 
-
-def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple]:
-    """Keys of the 2-subspaces inside the block spanned by rows.
-
-    Over GF(2) the key is the sorted triple of nonzero vectors; otherwise
-    the canonical basis rows.  Keys are only compared against keys produced
-    by this module.
+    The block rows are canonical, so the combination of them with a
+    canonical coefficient basis is the canonical basis of its image.
+    span[c] is the combination with packed coefficients c.
     """
     d = len(rows)
+    span = [0] * q ** d
     if q == 2:
-        vs = [0] * (1 << d)
         for i, r in enumerate(rows):
             base = 1 << i
             for mask in range(base):
-                vs[base + mask] = vs[mask] ^ r
-        for m1, m2, m3 in _coeff_pair_masks(d):
-            a, b, c = vs[m1], vs[m2], vs[m3]
-            if a > b:
-                a, b = b, a
-            if b > c:
-                b, c = c, b
-                if a > b:
-                    a, b = b, a
-            yield (a, b, c)
+                span[base + mask] = span[mask] ^ r
     else:
         ops = vector_ops(q, v)
-        for coeff in _coeff_pair_rows(d, q):
-            ra = _combine(coeff[0], rows, ops)
-            rb = _combine(coeff[1], rows, ops)
-            yield ops.rref((ra, rb))
+        base = 1
+        for r in rows:
+            for c in range(1, q):
+                cr = ops.smul(c, r)
+                for mask in range(base):
+                    span[c * base + mask] = ops.add(span[mask], cr)
+            base *= q
+    for c1, c2 in _coeff_pair_rows(d, q):
+        yield span[c1], span[c2]
 
 
 def _combine(coeff_row: int, rows: Sequence[int], ops) -> int:
@@ -310,14 +304,6 @@ def _combine(coeff_row: int, rows: Sequence[int], ops) -> int:
             out = ops.add(out, ops.smul(c, rows[j]))
         j += 1
     return out
-
-
-def pair_key_of_rows(rows: tuple[int, ...], q: int, v: int) -> tuple:
-    """Key of the 2-subspace with the given canonical basis rows."""
-    if q == 2:
-        a, b = rows
-        return tuple(sorted((a, b, a ^ b)))
-    return tuple(rows)
 
 
 def _sweep_chunk(args) -> tuple[Counter, int]:
@@ -462,7 +448,10 @@ class _ClassTally:
         if want is None:
             want = self.first.setdefault(cls, got)
         if got != want and len(self.failures) < 10:
-            key = pair_key_of_rows(rows, self.design.q, self.design.v)
+            key = rows
+            if self.design.q == 2:  # witnesses name a binary pair by its three points
+                a, b = rows
+                key = sorted((a, b, a ^ b))
             self.failures.append({"pair_key": [int(x) for x in key],
                                   "class": cls, "count": got,
                                   "expected": want})
@@ -495,19 +484,38 @@ def verify_design(design: DesignInstance, mode: str = "full",
                   budget: int = EXPANSION_BUDGET) -> VerificationReport:
     """Check 2-subspace coverage against the design's claims.
 
-    Full mode sweeps every block and every 2-subspace of the ambient space;
-    sampled mode draws sample >= 1 seeded-random 2-subspaces.  An implicit
-    design is a union of GL(m, q^l)-orbits, so the coverage of a sampled
+    Full mode checks every 2-subspace of the ambient space; sampled mode
+    draws sample >= 1 seeded-random 2-subspaces.  An implicit design is a
+    union of GL(m, q^l)-orbits, so in sampled mode the coverage of a
     2-subspace is counted once per orbit of 2-subspaces and reused for the
-    others; explicit blocks are tested one by one for every sample.
+    others.  Otherwise every block is expanded once into a pair tally.
     """
+    if mode not in ("full", "sampled"):
+        raise ValueError(f"unknown verification mode {mode!r}")
+    if mode == "sampled" and sample < 1:
+        raise ValueError(f"sampled verification needs sample >= 1, got {sample}")
+    q, v = design.q, design.v
+    tally = _ClassTally(design)  # checks the groups before any expensive work
     if mode == "full":
-        return _verify_full(design, threads, budget)
-    if mode == "sampled":
-        if sample < 1:
-            raise ValueError(f"sampled verification needs sample >= 1, got {sample}")
-        return _verify_sampled(design, sample, seed)
-    raise ValueError(f"unknown verification mode {mode!r}")
+        n_pairs = gaussian_binomial(v, 2, q)
+        if n_pairs > PAIR_SWEEP_BUDGET:
+            raise ValueError(
+                f"full verification sweeps {n_pairs} 2-subspaces; use sampled mode")
+        pairs = iter_rref_bases(v, 2, q)
+        drawn = None
+    else:
+        rng = Random(seed)
+        pairs = (_random_2subspace(rng, q, v) for _ in range(sample))
+        drawn = (sample, seed)
+    if drawn and isinstance(design.blocks, ImplicitBlocks):
+        coverage = _ImplicitCoverage(design).coverage
+        n_blocks = block_count(design)
+    else:
+        counts, n_blocks = coverage_counter(design, threads, budget)
+        coverage = counts.__getitem__
+    for rows in pairs:
+        tally.record(rows, coverage(rows))
+    return tally.report(mode, n_blocks, sample=drawn)
 
 
 def verify_gdd(design: DesignInstance, mode: str = "full",
@@ -540,20 +548,6 @@ def _group_index(q: int, v: int, groups: Sequence[Subspace]) -> dict[int, int]:
     return index
 
 
-def _verify_full(design: DesignInstance, threads: int,
-                 budget: int) -> VerificationReport:
-    q, v = design.q, design.v
-    tally = _ClassTally(design)  # checks the groups before the sweep
-    n_pairs = gaussian_binomial(v, 2, q)
-    if n_pairs > PAIR_SWEEP_BUDGET:
-        raise ValueError(
-            f"full verification sweeps {n_pairs} 2-subspaces; use sampled mode")
-    counts, n_blocks = coverage_counter(design, threads, budget)
-    for rows in iter_rref_bases(v, 2, q):
-        tally.record(rows, counts.get(pair_key_of_rows(rows, q, v), 0))
-    return tally.report("full", n_blocks)
-
-
 def _random_2subspace(rng: Random, q: int, v: int) -> tuple[int, ...]:
     ops = vector_ops(q, v)
     while True:
@@ -562,36 +556,6 @@ def _random_2subspace(rng: Random, q: int, v: int) -> tuple[int, ...]:
         rows = ops.rref((a, b))
         if len(rows) == 2:
             return rows
-
-
-def _verify_sampled(design: DesignInstance, sample: int,
-                    seed: int) -> VerificationReport:
-    q, v = design.q, design.v
-    tally = _ClassTally(design)
-    rng = Random(seed)
-    if isinstance(design.blocks, ImplicitBlocks):
-        counter = _ImplicitCoverage(design)
-    else:
-        counter = _ExplicitCoverage(design)
-    for _ in range(sample):
-        rows = _random_2subspace(rng, q, v)
-        tally.record(rows, counter.coverage(rows))
-    return tally.report("sampled", block_count(design), sample=(sample, seed))
-
-
-class _ExplicitCoverage:
-    def __init__(self, design: DesignInstance):
-        self.items = design.blocks.items
-        self.q, self.v = design.q, design.v
-
-    def coverage(self, rows: tuple[int, ...]) -> int:
-        q, v = self.q, self.v
-        total = 0
-        for block_rows, mult in self.items:
-            block = Subspace(q, v, block_rows)
-            if all(block.contains_vector(r) for r in rows):
-                total += mult
-        return total
 
 
 class _ImplicitCoverage:
@@ -1052,7 +1016,7 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         if not 3 <= k <= min(m + 1, l):
             raise ValueError(f"implicit k={k} outside 3..min(m+1, l)")
         labels = []
-        for entry in _object_list(imp["labels"], "labels"):
+        for entry in _object_list(imp.get("labels"), "labels"):
             r = _int_field(entry, "r", 1, k - 1)
             rep = _label_rep(entry, q, l, r + 1, strict)
             labels.append(LabelWeight(OrbitLabel(k, k - 1, r, rep),

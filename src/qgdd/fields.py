@@ -466,28 +466,6 @@ class FieldTower:
                 return None
         return cur
 
-    def mid_echelon(self, vectors: Sequence[Sequence[int]]
-                    ) -> tuple[list[tuple[int, list[int], list[int]]], list[list[int]]]:
-        """GF(q^l) echelon of middle vectors of a common length, transform tracked.
-
-        Returns (echelon, deps).  echelon holds (pivot, row, transform) per
-        independent input: row = sum(transform[i] * vectors[i]), scaled to 1
-        at the pivot.  deps holds, per dependent input j, coefficients c with
-        c[j] = 1, c[i] = 0 for i > j and sum(c[i] * vectors[i]) = 0.
-        """
-        n = len(vectors)
-        width = len(vectors[0]) if n else 0
-        rows: list[tuple[int, list[int]]] = []
-        deps: list[list[int]] = []
-        for idx, vec in enumerate(vectors):
-            # the input row followed by its transform, eliminated together
-            cur = list(vec) + [0] * n
-            cur[width + idx] = 1
-            dep = self.mid_reduce(rows, cur, width)
-            if dep is not None:
-                deps.append(dep[width:])
-        return [(piv, row[:width], row[width:]) for piv, row in rows], deps
-
     def __repr__(self) -> str:
         return f"FieldTower(GF({self.q}) < GF({self.q}^{self.l}), m={self.m})"
 

@@ -55,6 +55,8 @@ def n_orbits_with_stabilizer(d: int, u: int, v: int, q: int) -> int:
     """Singer orbits on d-subspaces whose stabilizer is GF(q^u)^*."""
     if not 0 <= d <= v:
         raise ValueError("need 0 <= d <= v")
+    if u < 1:
+        raise ValueError(f"u={u} must be a positive integer")
     g = math.gcd(d, v) if d else v
     if g % u:
         raise ValueError(f"u={u} does not divide gcd(d, v)={g}")

@@ -12,7 +12,7 @@ from qgdd.atlas import gl_atlas, gl_order
 from qgdd.designs import (DesignInstance, GddSelection, ImplicitBlocks,
                           block_count, break_blocks, build_gdd, build_pbd,
                           coverage_counter, design_to_json_dict, expand_blocks,
-                          fill_holes, make_explicit, pair_key_of_rows,
+                          fill_holes, make_explicit,
                           supplementary, verify_design, verify_gdd)
 from qgdd.incidence import closed_form_matrix, span1_row_entry, verify_closed_form
 from qgdd.singer import n_orbits, n_orbits_with_stabilizer, singer_action
@@ -182,8 +182,7 @@ def test_criterion_09_supplementary():
         cd, _ = coverage_counter(D)
         cs, _ = coverage_counter(S)
         for rows in iter_rref_bases(4, 2, 2):
-            key = pair_key_of_rows(rows, 2, 4)
-            assert cd.get(key, 0) + cs.get(key, 0) == gaussian_binomial(2, 1, 2) == 3
+            assert cd[rows] + cs[rows] == gaussian_binomial(2, 1, 2) == 3
 
 
 def test_criterion_10_hole_filling_properties():

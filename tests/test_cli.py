@@ -362,6 +362,48 @@ def test_error_exit_2_on_bad_selection(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("u", ["-1", "0"])
+@pytest.mark.parametrize("command", ["stabilizer", "build-gdd"])
+def test_nonpositive_u_exit_2(tmp_path, monkeypatch, capsys, command, u):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--m", "2", "--l", "3", "--k", "3", "--q", "2"]
+    if command == "stabilizer":
+        argv += ["--r", "2", "--u", u]
+    else:
+        argv += ["--select", f"2,{u}=1", "--out", "never.json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and "." not in out
+    assert err == f"error: u={u} must be a positive integer\n"
+    assert not (tmp_path / "never.json").exists()
+
+
+def test_verify_implicit_without_labels_exit_2(tmp_path, capsys):
+    out_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(out_file)], capsys)
+    data = json.loads(out_file.read_text())
+    del data["blocks"]["implicit"]["labels"]
+    out_file.write_text(json.dumps(data))
+    code, out, err = run_cli(["verify", "--in", str(out_file)], capsys)
+    assert (code, out, err) == (2, "", "error: labels must be a list of objects\n")
+
+
+@pytest.mark.parametrize("sample", [[], ["--sample", "40"]], ids=["full", "sampled"])
+@pytest.mark.parametrize("claim,code", [(0, 0), (6, 1)])
+def test_verify_point_blocks(tmp_path, capsys, sample, claim, code):
+    from qgdd.designs import DesignInstance, design_to_json_dict, make_explicit
+    from qgdd.subspaces import iter_rref_bases
+    design = DesignInstance(
+        q=3, v=3, kind="design", K=(1,), claimed_lambda=claim,
+        blocks=make_explicit((rows, 1) for rows in iter_rref_bases(3, 1, 3)))
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(design_to_json_dict(design)))
+    got, out, err = run_cli(["verify", "--in", str(path)] + sample, capsys)
+    assert (got, err) == (code, "")
+    assert "coverage 0" in out
+    assert ("witness" in out) == (claim != 0)
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "qgdd.cli", "gbinom",
                            "--v", "3", "--k", "2", "--q", "2"],

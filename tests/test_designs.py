@@ -11,7 +11,7 @@ from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           design_from_json_dict, design_to_json_dict,
                           expand_blocks, fill_holes, gdd_lambda,
                           h_orbit_decomposition, make_explicit,
-                          pair_key_of_rows, supplementary, verify_design,
+                          supplementary, verify_design,
                           verify_gdd)
 from qgdd.subspaces import (Subspace, gaussian_binomial, intersection_dim,
                             iter_rref_bases)
@@ -334,8 +334,7 @@ def test_supplementary_random_submultiset():
     cd, _ = coverage_counter(D)
     cs, _ = coverage_counter(S)
     for rows in iter_rref_bases(4, 2, 2):
-        key = pair_key_of_rows(rows, 2, 4)
-        assert cd.get(key, 0) + cs.get(key, 0) == 3
+        assert cd[rows] + cs[rows] == 3
 
 
 def test_supplementary_of_mixed_input(gdd633):
@@ -536,11 +535,10 @@ def test_group_index_matches_group_pair_keys(case):
     tally = _ClassTally(DesignInstance(
         q=q, v=v, kind="mixed", K=(3,), claimed_lambda=None,
         blocks=ExplicitBlocks(()), groups=groups))
-    # a point group holds no 2-subspace (and block_pair_keys needs dim >= 2)
-    inside = group_pair_keys([g for g in groups if g.dim >= 2])
+    inside = group_pair_keys(groups)  # a point group holds no 2-subspace
     classes = Counter()
     for rows in iter_rref_bases(v, 2, q):
-        want = "span1" if pair_key_of_rows(rows, q, v) in inside else "span2"
+        want = "span1" if rows in inside else "span2"
         assert tally.classify(rows) == want
         classes[want] += 1
     assert classes["span1"] == len(inside)
@@ -764,3 +762,80 @@ def test_coverage_counter_caps_workers_at_cpu_count(gdd633, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert coverage_counter(gdd633, threads=8) == serial
     assert started == [3, 2]
+
+
+# -- pair keys and the one verification loop ------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_block_pair_keys_brute_force(q):
+    from qgdd.subspaces import vector_ops
+    rng = Random(q)
+    for d in (2, 3, 4):
+        v = d + 2
+        ops = vector_ops(q, v)
+        for _ in range(5):
+            rows = ()
+            while len(rows) != d:
+                rows = ops.rref(rng.randrange(q ** v) for _ in range(d))
+            # each 2-subspace is spanned by two of its points (pivot digit 1)
+            points = [x for x in Subspace(q, v, rows).vectors()
+                      if x and ops.digit(x, ops.pivot(x)) == 1]
+            brute = {ops.rref((a, b)) for a in points for b in points if a != b}
+            keys = list(block_pair_keys(rows, q, v))
+            assert len(keys) == gaussian_binomial(d, 2, q)
+            assert all(len(key) == 2 for key in keys)
+            assert set(keys) == brute
+
+
+def _oracle_sampled_report(design, sample, seed):
+    """The sampled report, each sample counted by testing every block."""
+    from qgdd.designs import _ClassTally, _random_2subspace
+    q, v = design.q, design.v
+    tally = _ClassTally(design)
+    rng = Random(seed)
+    for _ in range(sample):
+        rows = _random_2subspace(rng, q, v)
+        got = 0
+        for block_rows, mult in design.blocks.items:
+            block = Subspace(q, v, block_rows)
+            if all(block.contains_vector(r) for r in rows):
+                got += mult
+        tally.record(rows, got)
+    return tally.report("sampled", block_count(design), sample=(sample, seed))
+
+
+def _random_explicit_q3():
+    """Random multiset of 3-subspaces of GF(3)^4; its coverage is nonuniform."""
+    rng = Random(11)
+    items = [(rows, rng.randrange(1, 4)) for rows in iter_rref_bases(4, 3, 3)
+             if rng.random() < 0.5]
+    return DesignInstance(q=3, v=4, kind="design", K=(3,), claimed_lambda=4,
+                          blocks=make_explicit(iter(items)))
+
+
+@pytest.mark.parametrize("which", ["supplement-633", "random-q3"])
+def test_sampled_explicit_matches_per_block_count(gdd633, which):
+    design = supplementary(gdd633) if which == "supplement-633" else _random_explicit_q3()
+    assert isinstance(design.blocks, ExplicitBlocks)
+    for seed in (0, 5):
+        report = verify_design(design, mode="sampled", sample=150, seed=seed)
+        assert report == _oracle_sampled_report(design, 150, seed)
+    if which == "random-q3":
+        assert not report.passed and report.failures
+
+
+@pytest.mark.parametrize("sample", [10, 1000])
+def test_sampled_explicit_expands_each_block_once(gdd633, monkeypatch, sample):
+    import qgdd.designs as designs
+    design = supplementary(gdd633)
+    calls = []
+    real = designs.block_pair_keys
+
+    def counted(rows, q, v):
+        calls.append(rows)
+        return real(rows, q, v)
+
+    monkeypatch.setattr(designs, "block_pair_keys", counted)
+    report = verify_design(design, mode="sampled", sample=sample, seed=1)
+    assert report.passed and report.checked == sample
+    assert sorted(calls) == [rows for rows, _ in design.blocks.items]

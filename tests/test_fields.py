@@ -172,9 +172,19 @@ def middle_vectors(draw):
 @settings(max_examples=300, deadline=None)
 @given(middle_vectors())
 def test_mid_echelon_vs_rank_and_relations(case):
+    """mid_reduce with a tracked transform: rank, relations and echelon rows."""
     tower, vecs = case
     mid = tower.mid
-    echelon, deps = tower.mid_echelon(vecs)
+    n, width = len(vecs), len(vecs[0])
+    echelon, deps = [], []
+    for idx, vec in enumerate(vecs):
+        # the input row followed by its transform, eliminated together
+        cur = list(vec) + [0] * n
+        cur[width + idx] = 1
+        dep = tower.mid_reduce(echelon, cur, width)
+        if dep is not None:
+            assert not any(dep[:width])
+            deps.append(dep[width:])
     assert len(echelon) == tower.mid_rank(vecs)
     assert len(echelon) + len(deps) == len(vecs)
     own = []
@@ -185,8 +195,9 @@ def test_mid_echelon_vs_rank_and_relations(case):
         own.append(j)
         assert not any(_combination(mid, coef, vecs))
     pivots = []
-    for piv, row, transform in echelon:
-        assert list(row) == _combination(mid, transform, vecs)
+    for piv, reduced in echelon:
+        row, transform = reduced[:width], reduced[width:]
+        assert row == _combination(mid, transform, vecs)
         assert row[piv] == 1 and not any(row[:piv])
         assert all(row[p] == 0 for p in pivots)
         pivots.append(piv)

@@ -98,6 +98,9 @@ def test_n_orbits_examples():
     assert n_orbits_with_stabilizer(3, 1, 7, 2) == 93
     with pytest.raises(ValueError):
         n_orbits_with_stabilizer(3, 2, 3, 2)
+    for u in (0, -1):
+        with pytest.raises(ValueError, match=f"u={u} must be a positive integer"):
+            n_orbits_with_stabilizer(3, u, 3, 2)
 
 
 def test_orbit_reps_sorted_and_deterministic():
@@ -218,7 +221,7 @@ def test_km_solve_finds_complete_design():
 def test_km_solutions_reverify():
     # any returned selection must expand to a design with the stated coverage
     from collections import Counter
-    from qgdd.designs import block_pair_keys, pair_key_of_rows
+    from qgdd.designs import block_pair_keys
     l, q, lam = 4, 2, 3
     m = h_incidence_matrix(l, 2, 3, q)
     res = kramer_mesner_solve(m, lam, budget=200_000)
@@ -233,7 +236,7 @@ def test_km_solutions_reverify():
                     for key in block_pair_keys(member, q, l):
                         counts[key] += 1
         for rows in iter_rref_bases(l, 2, q):
-            assert counts.get(pair_key_of_rows(rows, q, l), 0) == lam
+            assert counts[rows] == lam
 
 
 def test_km_solve_with_weights():
