@@ -274,22 +274,16 @@ def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int
     canonical coefficient basis is the canonical basis of its image.
     span[c] is the combination with packed coefficients c.
     """
+    ops = vector_ops(q, v)
     d = len(rows)
     span = [0] * q ** d
-    if q == 2:
-        for i, r in enumerate(rows):
-            base = 1 << i
+    base = 1
+    for r in rows:
+        for c in range(1, q):
+            cr = ops.smul(c, r)
             for mask in range(base):
-                span[base + mask] = span[mask] ^ r
-    else:
-        ops = vector_ops(q, v)
-        base = 1
-        for r in rows:
-            for c in range(1, q):
-                cr = ops.smul(c, r)
-                for mask in range(base):
-                    span[c * base + mask] = ops.add(span[mask], cr)
-            base *= q
+                span[c * base + mask] = ops.add(span[mask], cr)
+        base *= q
     for c1, c2 in _coeff_pair_rows(d, q):
         yield span[c1], span[c2]
 
