@@ -2,7 +2,7 @@
 designs, pairwise balanced designs, and subspace 2-designs over GF(q)."""
 
 from .atlas import (GlAtlas, OrbitLabel, OrbitRepresentative, SpanClass,
-                    UnclassifiedOrbitError, gl_atlas, gl_order)
+                    gl_atlas, gl_order)
 from .fields import FieldTower, FiniteField, build_tower, finite_field
 from .incidence import (brute_force_matrix, closed_form_matrix,
                         verify_closed_form)

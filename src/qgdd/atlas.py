@@ -10,7 +10,8 @@ orbit over GF(q)^l:
                             spanned by 1 and the mixing coefficients);
   * span dimension k     -- a single orbit, no further data.
 
-Classes with 2 <= span_dim <= dim - 2 are rejected loudly.
+Classes with 2 <= span_dim <= dim - 2 have no labels; their subspaces are
+keyed ("other", dim, span_dim), so sweeps can tally them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from random import Random
 from typing import Iterable, Iterator, Sequence
 
 from .fields import FieldTower, build_tower, prime_power
@@ -28,8 +28,10 @@ from .subspaces import Subspace, vector_ops
 GL_BRUTE_FORCE_LIMIT = 10_000_000
 
 
-class UnclassifiedOrbitError(ValueError):
-    """Raised for subspaces whose orbit class has no implemented labels."""
+def check_block_dim(m: int, l: int, k: int, name: str = "k") -> None:
+    """Labeled block orbits exist for 3 <= k <= min(m + 1, l)."""
+    if not 3 <= k <= min(m + 1, l):
+        raise ValueError(f"{name}={k} outside 3..min(m+1, l)")
 
 
 def gl_order(m: int, Q: int) -> int:
@@ -78,17 +80,6 @@ class OrbitLabel:
         if self.span_dim == self.dim:
             return ("full", self.dim)
         return ("mixed", self.dim, self.r, self.rep_rows)
-
-    @staticmethod
-    def from_key(key: tuple) -> "OrbitLabel":
-        tag = key[0]
-        if tag == "line":
-            return OrbitLabel(key[1], 1, None, key[2])
-        if tag == "full":
-            return OrbitLabel(key[1], key[1], None, None)
-        if tag == "mixed":
-            return OrbitLabel(key[1], key[1] - 1, key[2], key[3])
-        raise ValueError(f"not an orbit label key: {key!r}")
 
     def label_str(self) -> str:
         if self.kind == "full":
@@ -141,18 +132,6 @@ class GlAtlas:
         tower = self.tower
         span = tower.mid_rank([tower.unflatten_packed(r) for r in rows])
         return SpanClass(dim, span)
-
-    def classify(self, W: Subspace) -> SpanClass:
-        self._check_ambient(W)
-        cls = self.classify_rows(W.rows)
-        lo = -(-cls.dim // self.l)
-        if not (cls.dim == 0 or lo <= cls.span_dim <= min(cls.dim, self.m)):
-            raise AssertionError(f"span class {cls} out of bounds")
-        return cls
-
-    def _check_ambient(self, W: Subspace) -> None:
-        if W.v != self.v or W.q != self.q:
-            raise ValueError("subspace does not live in GF(q)^(ml) of this atlas")
 
     def label_key_rows(self, rows: Sequence[int]) -> tuple:
         """Orbit-label key for a (not necessarily canonical) basis.
@@ -245,24 +224,12 @@ class GlAtlas:
         mid_to_pow = self.tower.ext.mid_to_pow
         return self._ops_l.rref([mid_to_pow[mid.mul(vec[piv], inv)] for vec in vecs])
 
-    def orbit_label(self, W: Subspace) -> OrbitLabel:
-        """Orbit label of a subspace in an implemented class; loud otherwise."""
-        self._check_ambient(W)
-        key = self.label_key_rows(W.rows)
-        if key[0] == "other":
-            raise UnclassifiedOrbitError(
-                f"no orbit labels for class (dim={key[1]}, span_dim={key[2]})")
-        if key[0] == "full" and key[1] > self.m:
-            raise AssertionError("span class exceeds middle dimension")
-        return OrbitLabel.from_key(key)
-
     # -- canonical representatives --------------------------------------------
 
     def t_representative(self, k: int, coeffs: Sequence[int]) -> OrbitRepresentative:
         """Realize the representative spanned by Y_1..Y_(k-1) and sum(u_i Y_i)."""
         m, l, q = self.m, self.l, self.q
-        if not 3 <= k <= min(m + 1, l):
-            raise ValueError(f"k={k} outside 3..min(m+1, l)")
+        check_block_dim(m, l, k)
         r = len(coeffs)
         if not 1 <= r <= k - 1:
             raise ValueError(f"need 1 <= r <= k-1 coefficients, got {r}")
@@ -344,8 +311,7 @@ class GlAtlas:
     # -- stabilizer orders and orbit sizes --------------------------------------
 
     def _check_params(self, k: int, r: int, u: int) -> None:
-        if not 3 <= k <= min(self.m + 1, self.l):
-            raise ValueError(f"k={k} outside 3..min(m+1, l)")
+        check_block_dim(self.m, self.l, k)
         if not 1 <= r <= k - 1:
             raise ValueError("need 1 <= r <= k-1")
         if u < 1:
@@ -419,10 +385,6 @@ class GlAtlas:
             out.append(tower.flatten_packed(y))
         return self._ops_v.rref(out)
 
-    def apply_matrix(self, g: Sequence[Sequence[int]], W: Subspace) -> Subspace:
-        self._check_ambient(W)
-        return Subspace(self.q, self.v, self.apply_matrix_rows(g, W.rows))
-
     def gl_elements(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """All of GL(m, q^l), guarded by GL_BRUTE_FORCE_LIMIT."""
         total = gl_order(self.m, self.Q)
@@ -460,49 +422,13 @@ class GlAtlas:
 
         yield from extend()
 
-    def random_gl(self, rng: Random) -> tuple[tuple[int, ...], ...]:
-        m, Q = self.m, self.Q
-        while True:
-            g = tuple(tuple(rng.randrange(Q) for _ in range(m)) for _ in range(m))
-            if self.tower.mid_rank([row for row in g]) == m:
-                return g
-
     def brute_force_stabilizer_order(self, W: Subspace) -> int:
         """Count of GL elements fixing W, via full group enumeration."""
-        self._check_ambient(W)
+        if W.v != self.v or W.q != self.q:
+            raise ValueError("subspace does not live in GF(q)^(ml) of this atlas")
         target = W.rows
         return sum(1 for g in self.gl_elements()
                    if self.apply_matrix_rows(g, target) == target)
-
-    # -- independence criterion ----------------------------------------------------
-
-    def column_independence_criterion(self, coeffs: Sequence[int],
-                                      a: Sequence[Sequence[int]],
-                                      b: Sequence[int]) -> bool:
-        """Whether the columns of (a_ij + b_j u_i) are GF(q^l)-independent.
-
-        Decided over GF(q): the columns are independent exactly when the
-        vectors (b_j, a_1j, ..., a_rj) are.
-        """
-        r = len(coeffs)
-        s = len(b)
-        if len(a) != r or any(len(row) != s for row in a):
-            raise ValueError("a must be r x s")
-        ops = vector_ops(self.q, r + 1)
-        rows = []
-        for j in range(s):
-            vec = [b[j]] + [a[i][j] for i in range(r)]
-            rows.append(ops.vector_from_coords(vec))
-        return ops.rank(rows) == s
-
-    def mixing_matrix(self, coeffs: Sequence[int], a: Sequence[Sequence[int]],
-                      b: Sequence[int]) -> list[list[int]]:
-        """The r x s matrix (a_ij + b_j u_i) over GF(q^l), for rank oracles."""
-        mid = self.tower.mid
-        embed = self.tower.ext.embed
-        r, s = len(coeffs), len(b)
-        return [[mid.add(embed[a[i][j]], mid.mul(embed[b[j]], coeffs[i]))
-                 for j in range(s)] for i in range(r)]
 
 
 @lru_cache(maxsize=None)

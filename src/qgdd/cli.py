@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -65,20 +66,42 @@ def _parse_select(chunks: list[str]) -> dict[tuple[int, int], int]:
     return weights
 
 
-def _print_report(report, as_json: bool) -> None:
-    if as_json:
-        sys.stdout.write(_dump_json(report.to_json_dict()))
+def _drop_stdout() -> None:
+    """Point a closed stdout at devnull, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
         return
-    status = "PASS" if report.passed else "FAIL"
-    print(f"{status} kind={report.kind} mode={report.mode} "
-          f"blocks={report.block_count} simple={report.simple}")
-    for cls, lam in report.lambda_by_class:
-        n = report.pair_count(cls)
-        lam_str = str(lam) if lam is not None else "nonuniform"
-        print(f"  class {cls}: {n} pairs, coverage {lam_str}")
-    for fail in report.failures:
-        print(f"  witness: pair {fail['pair_key']} covered {fail['count']} "
-              f"(expected {fail['expected']})")
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _print_report(report, as_json: bool, lead: str | None = None) -> int:
+    """Print a report after an optional lead line; return its exit status.
+
+    The status survives a closed stdout.
+    """
+    try:
+        if lead is not None:
+            print(lead)
+        if as_json:
+            sys.stdout.write(_dump_json(report.to_json_dict()))
+        else:
+            status = "PASS" if report.passed else "FAIL"
+            print(f"{status} kind={report.kind} mode={report.mode} "
+                  f"blocks={report.block_count} simple={report.simple}")
+            for cls, lam in report.lambda_by_class:
+                n = report.pair_count(cls)
+                lam_str = str(lam) if lam is not None else "nonuniform"
+                print(f"  class {cls}: {n} pairs, coverage {lam_str}")
+            for fail in report.failures:
+                print(f"  witness: pair {fail['pair_key']} covered {fail['count']} "
+                      f"(expected {fail['expected']})")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    return 0 if report.passed else 1
 
 
 def cmd_gbinom(args) -> int:
@@ -239,8 +262,7 @@ def cmd_verify(args) -> int:
         report = verify_gdd(design, **kwargs)
     else:
         report = verify_design(design, **kwargs)
-    _print_report(report, args.json)
-    return 0 if report.passed else 1
+    return _print_report(report, args.json)
 
 
 def cmd_break_blocks(args) -> int:
@@ -267,11 +289,10 @@ def cmd_fill_holes(args) -> int:
         kwargs.update(sample=args.sample, seed=args.seed)
     design, report = fill_holes(gdd, master, args.hole_dim, **kwargs)
     _write_design(design, args.out)
-    print(f"wrote {args.out}: 2-({design.v},{design.K[0]},"
-          f"{design.claimed_lambda})_{design.q} candidate, "
-          f"{block_count(design)} blocks")
-    _print_report(report, args.json)
-    return 0 if report.passed else 1
+    return _print_report(report, args.json,
+                         lead=f"wrote {args.out}: 2-({design.v},{design.K[0]},"
+                              f"{design.claimed_lambda})_{design.q} candidate, "
+                              f"{block_count(design)} blocks")
 
 
 def cmd_supplement(args) -> int:
@@ -406,13 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; on a closed stdout a reached verdict stands, else exit 0."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ from random import Random
 from typing import Iterator, Sequence
 
 from . import incidence
-from .atlas import GlAtlas, OrbitLabel, gl_atlas
-from .singer import n_orbits_with_stabilizer, singer_action
+from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
+from .singer import HOrbit, n_orbits_with_stabilizer, singer_action
 from .subspaces import Subspace, gaussian_binomial, iter_rref_bases, vector_ops
 # Not called here; perfbench/spans.py still traces it under this module.
 from .subspaces import iter_superspace_bases  # noqa: F401
@@ -195,8 +195,7 @@ class GddSelection:
         return GddSelection(tuple(sorted(weights.items())), omega_kk)
 
     def validate(self, m: int, l: int, k: int, q: int) -> None:
-        if not 3 <= k <= min(m + 1, l):
-            raise ValueError(f"k={k} outside 3..min(m+1, l)")
+        check_block_dim(m, l, k)
         for (r, u), w in self.weights:
             if not 2 <= r <= k - 1:
                 raise ValueError(f"selection r={r} outside 2..k-1")
@@ -272,32 +271,10 @@ def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int
 
     The block rows are canonical, so the combination of them with a
     canonical coefficient basis is the canonical basis of its image.
-    span[c] is the combination with packed coefficients c.
     """
-    ops = vector_ops(q, v)
-    d = len(rows)
-    span = [0] * q ** d
-    base = 1
-    for r in rows:
-        for c in range(1, q):
-            cr = ops.smul(c, r)
-            for mask in range(base):
-                span[c * base + mask] = ops.add(span[mask], cr)
-        base *= q
-    for c1, c2 in _coeff_pair_rows(d, q):
+    span = vector_ops(q, v).span(rows)
+    for c1, c2 in _coeff_pair_rows(len(rows), q):
         yield span[c1], span[c2]
-
-
-def _combine(coeff_row: int, rows: Sequence[int], ops) -> int:
-    out = 0
-    q = ops.q
-    j = 0
-    while coeff_row:
-        coeff_row, c = divmod(coeff_row, q)
-        if c:
-            out = ops.add(out, ops.smul(c, rows[j]))
-        j += 1
-    return out
 
 
 def _sweep_chunk(args) -> tuple[Counter, int]:
@@ -372,12 +349,6 @@ class VerificationReport:
     checked: int
     failures: tuple[dict, ...]
     sample: tuple[int, int] | None = None  # (N, seed)
-
-    def observed_lambda(self, cls: str = "all") -> int | None:
-        for name, lam in self.lambda_by_class:
-            if name == cls:
-                return lam
-        return None
 
     def pair_count(self, cls: str) -> int:
         for name, n in self.pair_counts:
@@ -489,6 +460,8 @@ def verify_design(design: DesignInstance, mode: str = "full",
     if mode == "sampled" and sample < 1:
         raise ValueError(f"sampled verification needs sample >= 1, got {sample}")
     q, v = design.q, design.v
+    if v < 2:
+        raise ValueError(f"verification needs v >= 2, got v={v}")
     tally = _ClassTally(design)  # checks the groups before any expensive work
     if mode == "full":
         n_pairs = gaussian_binomial(v, 2, q)
@@ -601,18 +574,18 @@ class _ImplicitCoverage:
         return total
 
     def _line_coverage(self, rep: tuple[int, ...]) -> int:
-        """Line blocks through W.x, for W with Singer representative rep."""
-        atlas = self.atlas
+        """Line blocks through W.x, for W with Singer representative rep.
+
+        A line label of dimension d contributes its multiplicity times the
+        Singer incidence entry (rep, the label's orbit of d-subspaces).
+        """
+        singer = self.atlas.singer
         total = 0
         for lw in self.line_weights:
-            if lw.label.dim == 2:
-                if lw.label.rep_rows == rep:
-                    total += lw.multiplicity
-                continue
-            for member in atlas.singer.cycle(lw.label.rep_rows):
-                member_sub = Subspace(atlas.q, atlas.l, member)
-                if all(member_sub.contains_vector(r) for r in rep):
-                    total += lw.multiplicity
+            d = lw.label.dim
+            if d >= 2:
+                col = singer.orbit_index_map(d)[lw.label.rep_rows]
+                total += lw.multiplicity * singer.incidence_row(rep, d)[col]
         return total
 
 # ---------------------------------------------------------------------------
@@ -719,10 +692,9 @@ def break_blocks(pbd: DesignInstance,
 
     def transplanted() -> Iterator[tuple[tuple[int, ...], int]]:
         for rows, mult in expand_blocks(pbd, budget=budget):
-            u = len(rows)
-            for ing_rows, ing_mult in expanded_ing[u]:
-                image = [_combine(c, rows, ops) for c in ing_rows]
-                yield ops.rref(image), mult * ing_mult
+            span = ops.span(rows)
+            for ing_rows, ing_mult in expanded_ing[len(rows)]:
+                yield ops.rref([span[c] for c in ing_rows]), mult * ing_mult
 
     return DesignInstance(
         q=q, v=v, kind="design", K=(k_out,),
@@ -782,45 +754,30 @@ def fill_holes(gdd: DesignInstance, master: DesignInstance,
         hole = canonical_hole(q, g_dim, n)
     if hole.q != q or hole.v != master.v or hole.dim != n:
         raise ValueError("hole must be an n-subspace of the master's space")
-    master_blocks = list(expand_blocks(master, budget=budget))
-    hole_sub = hole
+    # packed coordinates, w.r.t. the hole basis, of each vector of the hole
+    hole_coords = {x: c for c, x in enumerate(hole.vectors())}
     inside = []
     outside = []
-    for rows, mult in master_blocks:
-        if all(hole_sub.contains_vector(r) for r in rows):
+    for rows, mult in expand_blocks(master, budget=budget):
+        if all(r in hole_coords for r in rows):
             inside.append((rows, mult))
         else:
             outside.append((rows, mult))
-    _check_hole_restriction(q, n, k, hole_sub, inside, lam_expected)
+    _check_hole_restriction(q, n, k, hole, inside, lam_expected)
     v_out = gdd.v + n
     ops_out = vector_ops(q, v_out)
-    hole_images = [q ** (gdd.v + j) for j in range(n)]  # e_(v+j) rows
-    hole_basis = list(hole_sub.rows)
-
-    def hole_coords(row: int) -> int:
-        """Coordinates of a hole vector w.r.t. the hole basis, packed."""
-        ops_m = vector_ops(q, master.v)
-        coeffs = []
-        for b in hole_basis:
-            c = ops_m.digit(row, ops_m.pivot(b))
-            coeffs.append(c)
-            if c:
-                row = ops_m.sub_scaled(row, c, b)
-        assert row == 0
-        return sum(c * q ** j for j, c in enumerate(coeffs))
+    hole_images = tuple(q ** (gdd.v + j) for j in range(n))  # e_(v+j) rows
+    hole_span = ops_out.span(hole_images)
 
     def assembled() -> Iterator[tuple[tuple[int, ...], int]]:
         for rows, mult in expand_blocks(gdd, budget=budget):
             yield rows, mult  # digits extend with zeros into the new space
         for g in groups:
-            basis_imgs = list(g.rows) + hole_images
+            span = ops_out.span(g.rows + hole_images)
             for rows, mult in outside:
-                image = [_combine(r, basis_imgs, ops_out) for r in rows]
-                yield ops_out.rref(image), mult
+                yield ops_out.rref([span[r] for r in rows]), mult
         for rows, mult in inside:
-            image = [_combine(hole_coords(r), hole_images, ops_out)
-                     for r in rows]
-            yield ops_out.rref(image), mult
+            yield ops_out.rref([hole_span[hole_coords[r]] for r in rows]), mult
 
     out = DesignInstance(
         q=q, v=v_out, kind="design", K=(k,), claimed_lambda=lam_expected,
@@ -895,10 +852,6 @@ def supplementary(design: DesignInstance,
 # ---------------------------------------------------------------------------
 # serialization (format_version 1)
 
-def subspace_to_lists(sub: Subspace) -> list[list[int]]:
-    return sub.basis_lists()
-
-
 def subspace_from_lists(rows: list[list[int]], q: int, v: int,
                         strict: bool = True) -> Subspace:
     from .subspaces import canonicalize
@@ -926,11 +879,11 @@ def design_to_json_dict(design: DesignInstance) -> dict:
         out["claimed_lambda_by_class"] = {
             k: v for k, v in design.claimed_lambda_by_class}
     if design.groups:
-        out["groups"] = [subspace_to_lists(g) for g in design.groups]
+        out["groups"] = [g.basis_lists() for g in design.groups]
     blocks = design.blocks
     if isinstance(blocks, ExplicitBlocks):
         out["blocks"] = {"explicit": [
-            {"basis": subspace_to_lists(Subspace(design.q, design.v, rows)),
+            {"basis": Subspace(design.q, design.v, rows).basis_lists(),
              "multiplicity": mult}
             for rows, mult in blocks.items]}
     else:
@@ -938,7 +891,7 @@ def design_to_json_dict(design: DesignInstance) -> dict:
 
         def label_dict(lw: LabelWeight) -> dict:
             rep = Subspace(design.q, blocks.l, lw.label.rep_rows)
-            d: dict = {"rep": subspace_to_lists(rep),
+            d: dict = {"rep": rep.basis_lists(),
                        "multiplicity": lw.multiplicity}
             if lw.label.kind == "mixed":
                 d["r"] = lw.label.r
@@ -967,7 +920,7 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
     if data.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {data.get('format_version')}")
     q = _int_field(data, "q", 2)
-    v = _int_field(data, "v", 1)
+    v = _int_field(data, "v", 2)
     kind = data.get("kind")
     if kind not in ("gdd", "design", "pbd", "mixed"):
         raise ValueError(f"unknown design kind {kind!r}")
@@ -1007,8 +960,7 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         m, l, k = (_int_field(imp, name, 1) for name in ("m", "l", "k"))
         if m * l != v:
             raise ValueError("implicit structure does not match the ambient space")
-        if not 3 <= k <= min(m + 1, l):
-            raise ValueError(f"implicit k={k} outside 3..min(m+1, l)")
+        check_block_dim(m, l, k, "implicit k")
         labels = []
         for entry in _object_list(imp.get("labels"), "labels"):
             r = _int_field(entry, "r", 1, k - 1)
@@ -1056,17 +1008,17 @@ def _label_rep(entry: dict, q: int, l: int, dim: int,
     if rep.dim != dim:
         raise ValueError(f"label representative has dimension {rep.dim}, "
                          f"expected {dim}")
-    if _orbit_rep_check(q, l, rep.rows) != rep.rows:
+    orbit = _singer_orbit(q, l, rep.rows)
+    if orbit.rep.rows != rep.rows:
         raise ValueError("label representative is not orbit-canonical")
-    u = singer_action(l, q).orbit_containing(rep.rows).u
-    if type(entry.get("u")) is not int or entry["u"] != u:
-        raise ValueError(f"label u must be {u}, the Singer stabilizer exponent "
-                         f"of its representative, got {entry.get('u')!r}")
+    if type(entry.get("u")) is not int or entry["u"] != orbit.u:
+        raise ValueError(f"label u must be {orbit.u}, the Singer stabilizer "
+                         f"exponent of its representative, got {entry.get('u')!r}")
     return rep.rows
 
 
-def _orbit_rep_check(q: int, l: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+def _singer_orbit(q: int, l: int, rows: tuple[int, ...]) -> HOrbit:
     try:
-        return singer_action(l, q).orbit_containing(rows).rep.rows
+        return singer_action(l, q).orbit_containing(rows)
     except KeyError:
         raise ValueError("representative rows do not index a Singer orbit") from None

@@ -2,8 +2,7 @@
 
 Field elements are ints in [0, p^e) encoding coefficient vectors over GF(p),
 constant coefficient in the least significant base-p digit.  Multiplication
-goes through log/antilog tables for fields below 2^20 elements and falls back
-to polynomial arithmetic above that.
+goes through log/antilog tables, so fields above 2^20 elements are rejected.
 
 Vectors over GF(q) of length v are packed into a single int with base-q
 digits, coordinate 0 in the least significant digit.  For characteristic 2
@@ -146,18 +145,17 @@ class FiniteField:
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree {e} must be positive")
+        if p ** e > _TABLE_LIMIT:
+            raise ValueError(f"GF({p}^{e}) is above the field table limit {_TABLE_LIMIT}")
         self.p = p
         self.e = e
         self.order = p ** e
         self.modulus = _least_irreducible(p, e)
         self._mod_low = pack_coords(self.modulus[:e], p)
         self.primitive = self._find_primitive()
-        self.exp: list[int] | None = None
-        self.log: list[int] | None = None
-        if self.order <= _TABLE_LIMIT:
-            self._build_tables()
+        self._build_tables()
 
-    # -- raw polynomial arithmetic (construction / fallback) ----------------
+    # -- raw polynomial arithmetic (construction of the tables) --------------
 
     def _mul_raw(self, a: int, b: int) -> int:
         p, e = self.p, self.e
@@ -247,42 +245,20 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self.exp is not None:
-            return self.exp[self.log[a] + self.log[b]]
-        return self._mul_raw(a, b)
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.exp is not None:
-            return self.exp[self.order - 1 - self.log[a]]
-        return self._pow_raw(a, self.order - 2)
+        return self.exp[self.order - 1 - self.log[a]]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
             return 0 if n else 1
-        if self.exp is not None:
-            return self.exp[self.log[a] * n % (self.order - 1)]
-        return self._pow_raw(a, n % (self.order - 1))
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.order - 1
-        order = n
-        for r in factorize(n):
-            while order % r == 0 and self.pow(a, order // r) == 1:
-                order //= r
-        return order
+        return self.exp[self.log[a] * n % (self.order - 1)]
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         return unpack_coords(a, self.p, self.e)
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -317,8 +293,6 @@ class Extension:
         mid = self.mid
         self.w = mid.primitive
         self.wpow = [mid.pow(self.w, i) for i in range(degree)]
-        if mid.order > _TABLE_LIMIT:
-            raise ValueError(f"extension of order {mid.order} beyond table limit")
         self._build_coord_tables()
 
     def _build_embedding(self) -> list[int]:
@@ -382,6 +356,12 @@ class Extension:
         self.mid_to_pow = mid_to_pow
 
 
+@lru_cache(maxsize=None)
+def extension(q: int, l: int) -> Extension:
+    """GF(q^l) over GF(q), one shared instance per (q, l)."""
+    return Extension(field_for_order(q), l)
+
+
 class FieldTower:
     """GF(q) < GF(q^l) and the packed GF(q)^(ml) coordinate identification.
 
@@ -397,7 +377,7 @@ class FieldTower:
         self.l = l
         self.m = m
         self.base = finite_field(p, q_exponent)
-        self.ext = Extension(self.base, l)
+        self.ext = extension(self.base.order, l)
         self.mid = self.ext.mid
         self.q = self.base.order
         self.Q = self.mid.order

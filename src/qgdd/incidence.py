@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .atlas import GlAtlas, OrbitLabel, gl_atlas
+from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
 from .matrices import LabeledIntMatrix
 from .singer import h_incidence_matrix
 from .subspaces import Subspace, gaussian_binomial, iter_superspace_bases
@@ -39,12 +39,6 @@ class AkMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
-
-    def block(self, name: str) -> tuple[tuple[int, ...], ...]:
-        for bname, start, stop in self.col_blocks:
-            if bname == name:
-                return tuple(row[start:stop] for row in self.entries)
-        raise KeyError(name)
 
     def to_labeled(self) -> LabeledIntMatrix:
         return LabeledIntMatrix(
@@ -134,8 +128,7 @@ def _row_and_col_labels(atlas: GlAtlas, k: int):
 
 def closed_form_matrix(m: int, l: int, k: int, q: int) -> AkMatrix:
     """Assemble the incidence block matrix from the closed-form entries."""
-    if not 3 <= k <= min(m + 1, l):
-        raise ValueError(f"k={k} outside 3..min(m+1, l)")
+    check_block_dim(m, l, k)
     atlas = gl_atlas(m, l, q)
     rows, cols, blocks = _row_and_col_labels(atlas, k)
     singer = atlas.singer
@@ -182,8 +175,7 @@ def row_coverage(atlas: GlAtlas, realized: Subspace, k: int) -> Counter:
 def brute_force_matrix(m: int, l: int, k: int, q: int,
                        row_subset: list[int] | None = None) -> AkMatrix:
     """The same block matrix computed by streaming superspaces of each row."""
-    if not 3 <= k <= min(m + 1, l):
-        raise ValueError(f"k={k} outside 3..min(m+1, l)")
+    check_block_dim(m, l, k)
     atlas = gl_atlas(m, l, q)
     rows, cols, blocks = _row_and_col_labels(atlas, k)
     col_index = {lb.key(): j for j, lb in enumerate(cols)}
@@ -242,12 +234,8 @@ def verify_closed_form(m: int, l: int, k: int, q: int,
     max_rows = n_rows if per_row * n_rows <= budget else max(1, budget // per_row)
     subset = list(range(min(n_rows, max_rows)))
     brute = brute_force_matrix(m, l, k, q, row_subset=subset)
-    mism = []
-    for i in subset:
-        for j in range(len(closed.col_labels)):
-            a = closed.entries[i][j]
-            b = brute.entries[i][j]
-            if a != b:
-                mism.append((i, j, a, b))
+    # rows past the checked prefix are zero in brute
+    mism = [d for d in closed.to_labeled().diff(brute.to_labeled())
+            if d[0] < len(subset)]
     return ClosedFormReport(m, l, k, q, not mism, tuple(mism), tuple(subset),
                             len(subset) < n_rows, per_row)

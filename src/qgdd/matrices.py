@@ -24,9 +24,6 @@ class LabeledIntMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.row_labels), len(self.col_labels)
 
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.entries)
-
     def diff(self, other: "LabeledIntMatrix") -> list[tuple[int, int, int, int]]:
         """Positions (i, j, self_entry, other_entry) where the matrices differ."""
         if self.shape != other.shape:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .fields import Extension, factorize, field_for_order
+from .fields import extension, factorize
 from .matrices import LabeledIntMatrix
 from .subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
                         iter_superspace_bases, vector_ops)
@@ -93,8 +93,7 @@ class SingerAction:
     def __init__(self, l: int, q: int):
         self.l = l
         self.q = q
-        base = field_for_order(q)
-        self.ext = Extension(base, l)
+        self.ext = extension(q, l)
         self.mid = self.ext.mid
         self.order = self.mid.order - 1
         mid, ext = self.mid, self.ext
@@ -102,10 +101,6 @@ class SingerAction:
         self._ops = vector_ops(q, l)
         self._orbits: dict[int, list[HOrbit]] = {}
         self._index: dict[int, dict[tuple[int, ...], int]] = {}
-
-    def matrix_order(self) -> int:
-        """Multiplicative order of the action matrix (equals order of w)."""
-        return self.mid.element_order(self.ext.w)
 
     def step(self, rows: tuple[int, ...]) -> tuple[int, ...]:
         """Apply multiplication by w to a canonical basis, recanonicalized."""
@@ -162,6 +157,17 @@ class SingerAction:
         self._ensure_orbits(d)
         return self._orbits[d][self._index[d][rows]]
 
+    def incidence_row(self, rows: tuple[int, ...], k: int) -> list[int]:
+        """Entry j: members of orbit j of k-subspaces containing span(rows).
+
+        Streams the k-superspaces of the canonical basis rows into their orbits.
+        """
+        col_index = self.orbit_index_map(k)
+        counts = [0] * len(self.orbit_representatives(k))
+        for basis in iter_superspace_bases(Subspace(self.q, self.l, rows), k):
+            counts[col_index[self._ops.rref(basis)]] += 1
+        return counts
+
     def _ensure_orbits(self, d: int) -> None:
         if d in self._orbits:
             return
@@ -200,26 +206,16 @@ def h_incidence_matrix(l: int, t: int, k: int, q: int) -> LabeledIntMatrix:
     """H-incidence matrix between t-subspaces and k-subspaces of GF(q)^l.
 
     Entry (T, K) counts the members of the orbit of K containing the
-    representative of T, computed by streaming the k-superspaces of T and
-    classifying each into its orbit.
+    representative of T (SingerAction.incidence_row).
     """
     if not 0 <= t <= k <= l:
         raise ValueError("need t <= k <= l")
     action = singer_action(l, q)
     rows = action.orbit_representatives(t)
-    cols = action.orbit_representatives(k)
-    col_index = action.orbit_index_map(k)
-    ops = vector_ops(q, l)
-    entries = []
-    for orbit in rows:
-        counts = [0] * len(cols)
-        for basis in iter_superspace_bases(orbit.rep, k):
-            counts[col_index[ops.rref(basis)]] += 1
-        entries.append(tuple(counts))
     return LabeledIntMatrix(
         tuple(o.label_str() for o in rows),
-        tuple(o.label_str() for o in cols),
-        tuple(entries),
+        tuple(o.label_str() for o in action.orbit_representatives(k)),
+        tuple(tuple(action.incidence_row(o.rep.rows, k)) for o in rows),
     )
 
 

@@ -117,6 +117,22 @@ class VectorOps:
             basis.insert(at, r)
         return tuple(basis)
 
+    def span(self, rows: Sequence[int]) -> list[int]:
+        """All q^len(rows) combinations of rows: span[c] has packed coefficients c.
+
+        Base-q digit j of c is the coefficient of rows[j].
+        """
+        q = self.q
+        out = [0] * q ** len(rows)
+        base = 1
+        for r in rows:
+            for c in range(1, q):
+                cr = self.smul(c, r)
+                for mask in range(base):
+                    out[c * base + mask] = self.add(out[mask], cr)
+            base *= q
+        return out
+
     def rank(self, rows: Iterable[int]) -> int:
         return len(self.rref(rows))
 
@@ -168,11 +184,6 @@ class Subspace:
     def zero(q: int, v: int) -> "Subspace":
         return Subspace(q, v, ())
 
-    @staticmethod
-    def full(q: int, v: int) -> "Subspace":
-        ops = vector_ops(q, v)
-        return Subspace(q, v, tuple(ops.qpow[j] for j in range(v)))
-
     def basis_lists(self) -> list[list[int]]:
         return [list(unpack_coords(r, self.q, self.v)) for r in self.rows]
 
@@ -184,18 +195,9 @@ class Subspace:
                 x = ops.sub_scaled(x, c, b)
         return x == 0
 
-    def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.rows)
-
-    def vectors(self) -> Iterator[int]:
-        """All q^dim vectors of the subspace, deterministic order."""
-        ops = vector_ops(self.q, self.v)
-        for coeffs in itertools.product(range(self.q), repeat=self.dim):
-            x = 0
-            for c, b in zip(coeffs, self.rows):
-                if c:
-                    x = ops.add(x, ops.smul(c, b))
-            yield x
+    def vectors(self) -> list[int]:
+        """All q^dim vectors of the subspace, indexed by packed coefficients."""
+        return vector_ops(self.q, self.v).span(self.rows)
 
     def sort_key(self) -> tuple:
         return (self.dim, self.rows)

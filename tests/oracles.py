@@ -1,0 +1,142 @@
+"""Reference implementations that the tests check the production routines against.
+
+Each one is the plain, slow way of doing a job that qgdd does faster or
+through a shared routine: the GL(m, q^l) action on subspaces, element
+orders, GF(q)-combinations one coefficient at a time, and Singer incidence
+by cycling an orbit and testing containment.
+"""
+
+from __future__ import annotations
+
+from random import Random
+from typing import Sequence
+
+from qgdd.fields import factorize
+from qgdd.subspaces import Subspace, vector_ops
+
+
+# -- the GL(m, q^l) action ------------------------------------------------------
+
+def apply_matrix(atlas, g: Sequence[Sequence[int]], W: Subspace) -> Subspace:
+    """Image of W under g in GL(m, q^l)."""
+    return Subspace(atlas.q, atlas.v, atlas.apply_matrix_rows(g, W.rows))
+
+
+def random_gl(atlas, rng: Random) -> tuple[tuple[int, ...], ...]:
+    """A uniformly random element of GL(m, q^l), by rejection."""
+    m, Q = atlas.m, atlas.Q
+    while True:
+        g = tuple(tuple(rng.randrange(Q) for _ in range(m)) for _ in range(m))
+        if atlas.tower.mid_rank(list(g)) == m:
+            return g
+
+
+def column_independence_criterion(atlas, coeffs: Sequence[int],
+                                  a: Sequence[Sequence[int]],
+                                  b: Sequence[int]) -> bool:
+    """Whether the columns of (a_ij + b_j u_i) are GF(q^l)-independent.
+
+    Decided over GF(q): the columns are independent exactly when the
+    vectors (b_j, a_1j, ..., a_rj) are.
+    """
+    r, s = len(coeffs), len(b)
+    ops = vector_ops(atlas.q, r + 1)
+    rows = [ops.vector_from_coords([b[j]] + [a[i][j] for i in range(r)])
+            for j in range(s)]
+    return ops.rank(rows) == s
+
+
+def mixing_matrix(atlas, coeffs: Sequence[int], a: Sequence[Sequence[int]],
+                  b: Sequence[int]) -> list[list[int]]:
+    """The r x s matrix (a_ij + b_j u_i) over GF(q^l)."""
+    mid = atlas.tower.mid
+    embed = atlas.tower.ext.embed
+    r, s = len(coeffs), len(b)
+    return [[mid.add(embed[a[i][j]], mid.mul(embed[b[j]], coeffs[i]))
+             for j in range(s)] for i in range(r)]
+
+
+# -- field elements ------------------------------------------------------------
+
+def element_order(field, a: int) -> int:
+    """Multiplicative order of a nonzero field element."""
+    if a == 0:
+        raise ValueError("0 has no multiplicative order")
+    n = field.order - 1
+    order = n
+    for r in factorize(n):
+        while order % r == 0 and field.pow(a, order // r) == 1:
+            order //= r
+    return order
+
+
+# -- GF(q)-combinations -----------------------------------------------------------
+
+def combine(coeff_row: int, rows: Sequence[int], ops) -> int:
+    """The combination of rows whose coefficients are the base-q digits of coeff_row."""
+    out = 0
+    q = ops.q
+    j = 0
+    while coeff_row:
+        coeff_row, c = divmod(coeff_row, q)
+        if c:
+            out = ops.add(out, ops.smul(c, rows[j]))
+        j += 1
+    return out
+
+
+def span_table(rows: Sequence[int], ops) -> list[int]:
+    """VectorOps.span, one coefficient vector at a time."""
+    return [combine(c, rows, ops) for c in range(ops.q ** len(rows))]
+
+
+def hole_coords(hole: Subspace, row: int) -> int:
+    """Packed coordinates of a vector of the hole w.r.t. the hole basis."""
+    ops = vector_ops(hole.q, hole.v)
+    coeffs = []
+    for b in hole.rows:
+        c = ops.digit(row, ops.pivot(b))
+        coeffs.append(c)
+        if c:
+            row = ops.sub_scaled(row, c, b)
+    assert row == 0, "not a vector of the hole"
+    return sum(c * hole.q ** j for j, c in enumerate(coeffs))
+
+
+def fill_holes_blocks(gdd_blocks, groups, master_blocks, hole: Subspace,
+                      v_gdd: int) -> dict[tuple[int, ...], int]:
+    """The block multiset fill_holes assembles, built by per-row combination."""
+    q, n = hole.q, hole.dim
+    ops_out = vector_ops(q, v_gdd + n)
+    hole_images = [q ** (v_gdd + j) for j in range(n)]
+    out: dict[tuple[int, ...], int] = {}
+
+    def add(rows, mult):
+        key = ops_out.rref(rows)
+        out[key] = out.get(key, 0) + mult
+
+    inside = [(rows, mult) for rows, mult in master_blocks
+              if all(hole.contains_vector(r) for r in rows)]
+    outside = [item for item in master_blocks if item not in inside]
+    for rows, mult in gdd_blocks:
+        add(rows, mult)
+    for g in groups:
+        basis = list(g.rows) + hole_images
+        for rows, mult in outside:
+            add([combine(r, basis, ops_out) for r in rows], mult)
+    for rows, mult in inside:
+        add([combine(hole_coords(hole, r), hole_images, ops_out) for r in rows],
+            mult)
+    return out
+
+
+# -- Singer incidence ------------------------------------------------------------
+
+def containment_count(action, rows: tuple[int, ...], orbit_rows: tuple[int, ...]) -> int:
+    """Members of the Singer orbit of orbit_rows that contain span(rows)."""
+    count = 0
+    for member in action.cycle(orbit_rows):
+        K = Subspace(action.q, action.l, member)
+        if all(K.contains_vector(r) for r in rows):
+            count += 1
+    return count

@@ -98,7 +98,8 @@ def test_criterion_03_closed_form_matrix(params):
         if l % 2 == 0:
             # the even-l value lands at the unique u=2 column of the r=1 block
             A = closed_form_matrix(m, l, k, q)
-            p_row = A.block("r=1")[-1]
+            (start, stop), = [b[1:] for b in A.col_blocks if b[0] == "r=1"]
+            p_row = A.entries[-1][start:stop]
             assert p_row[-1] == span1_row_entry(m, l, k, q, 2)
             assert p_row[0] == span1_row_entry(m, l, k, q, 1) != p_row[-1]
 
@@ -136,7 +137,7 @@ def test_criterion_06_sampled_verification_at_scale():
         assert g.claimed_lambda == 42
         report = verify_gdd(g, mode="sampled", sample=10_200, seed=42)
         assert report.passed
-        assert report.observed_lambda("span2") == 42
+        assert dict(report.lambda_by_class)["span2"] == 42
         assert report.pair_count("span2") >= 10_000
 
 
@@ -165,7 +166,7 @@ def test_criterion_08_block_breaking():
         out = break_blocks(complete_design(4, 3, 2), {3: complete_design(3, 2, 2)})
         report = verify_design(out, mode="full")
         assert report.passed
-        assert report.observed_lambda("all") == 3
+        assert dict(report.lambda_by_class)["all"] == 3
         assert out.claimed_lambda == 3 and out.K == (2,)
 
 

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgdd.atlas import (GlAtlas, OrbitLabel, SpanClass, UnclassifiedOrbitError,
-                        gl_atlas, gl_order)
+from qgdd.atlas import GlAtlas, SpanClass, gl_atlas, gl_order
 from qgdd.fields import FieldTower
 from qgdd.incidence import _row_and_col_labels, realize_2row
 from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
                             iter_superspace_bases, vector_ops)
+
+from oracles import (apply_matrix, column_independence_criterion, mixing_matrix,
+                     random_gl)
 
 
 @pytest.fixture(scope="module")
@@ -31,24 +33,24 @@ def test_classify_examples(at23):
     line3 = Subspace.span(2, 6, [t.flatten_packed((1, 0)),
                                  t.flatten_packed((w, 0)),
                                  t.flatten_packed((w2, 0))])
-    assert at23.classify(line3) == SpanClass(3, 1)
+    assert at23.classify_rows(line3.rows) == SpanClass(3, 1)
     mixed = Subspace.span(2, 6, [t.flatten_packed((1, 0)),
                                  t.flatten_packed((0, 1)),
                                  t.flatten_packed((w, 0))])
-    assert at23.classify(mixed) == SpanClass(3, 2)
+    assert at23.classify_rows(mixed.rows) == SpanClass(3, 2)
     at33 = gl_atlas(3, 3, 2)
     t3 = at33.tower
     full = Subspace.span(2, 9, [t3.basis_vector(j) for j in range(3)])
-    assert at33.classify(full) == SpanClass(3, 3)
+    assert at33.classify_rows(full.rows) == SpanClass(3, 3)
 
 
 def test_t_representative_examples(at23):
     w = at23.tower.ext.w
     w2 = at23.tower.mid.mul(w, w)
     rep1 = at23.t_representative(3, (w,))
-    assert rep1.r == 1 and at23.classify(rep1.subspace) == SpanClass(3, 2)
+    assert rep1.r == 1 and at23.classify_rows(rep1.subspace.rows) == SpanClass(3, 2)
     rep2 = at23.t_representative(3, (w, w2))
-    assert rep2.r == 2 and at23.classify(rep2.subspace) == SpanClass(3, 2)
+    assert rep2.r == 2 and at23.classify_rows(rep2.subspace.rows) == SpanClass(3, 2)
     with pytest.raises(ValueError):
         at23.t_representative(3, (1,))  # 1, 1 dependent over GF(2)
     with pytest.raises(ValueError):
@@ -58,8 +60,7 @@ def test_t_representative_examples(at23):
 def test_orbit_label_full_class():
     at33 = gl_atlas(3, 3, 2)
     W = at33.full_class_rep(3)
-    label = at33.orbit_label(W)
-    assert label.kind == "full" and label.key() == ("full", 3)
+    assert at33.label_key_rows(W.rows) == ("full", 3)
 
 
 def test_orbit_label_line_class(at23):
@@ -67,19 +68,18 @@ def test_orbit_label_line_class(at23):
     action = at23.singer
     orbit = action.orbit_representatives(2)[0]
     realized = at23.realize_line_block(orbit.rep)
-    label = at23.orbit_label(realized)
-    assert label.kind == "line"
-    assert label.rep_rows == orbit.rep.rows
+    assert at23.label_key_rows(realized.rows) == ("line", 2, orbit.rep.rows)
 
 
 def test_orbit_label_invariance_under_group(at23):
     rng = Random(7)
     w = at23.tower.ext.w
     rep = at23.t_representative(3, (w,))
-    base = at23.orbit_label(rep.subspace)
+    base = at23.label_key_rows(rep.subspace.rows)
+    assert base == rep.label.key()
     for _ in range(100):
-        g = at23.random_gl(rng)
-        assert at23.orbit_label(at23.apply_matrix(g, rep.subspace)) == base
+        g = random_gl(at23, rng)
+        assert at23.label_key_rows(apply_matrix(at23, g, rep.subspace).rows) == base
 
 
 def test_orbit_label_rejects_unclassified():
@@ -90,9 +90,9 @@ def test_orbit_label_rejects_unclassified():
     rows = [t.flatten_packed((1, 0, 0, 0)), t.flatten_packed((w, 0, 0, 0)),
             t.flatten_packed((0, 1, 0, 0)), t.flatten_packed((0, w, 0, 0))]
     W = Subspace.span(2, 16, rows)
-    assert at.classify(W) == SpanClass(4, 2)
-    with pytest.raises(UnclassifiedOrbitError):
-        at.orbit_label(W)
+    assert at.classify_rows(W.rows) == SpanClass(4, 2)
+    # no labels for this class: it is keyed by (dim, span_dim) alone
+    assert at.label_key_rows(W.rows) == ("other", 4, 2)
 
 
 def test_stabilizer_order_formula(at23):
@@ -171,8 +171,8 @@ def test_column_independence_criterion(at23):
     w = at23.tower.ext.w
     w2 = at23.tower.mid.mul(w, w)
     coeffs = (w, w2)
-    assert at23.column_independence_criterion(coeffs, [[1, 0], [0, 1]], [0, 0])
-    assert not at23.column_independence_criterion(coeffs, [[1, 1], [0, 0]], [0, 0])
+    assert column_independence_criterion(at23, coeffs, [[1, 0], [0, 1]], [0, 0])
+    assert not column_independence_criterion(at23, coeffs, [[1, 1], [0, 0]], [0, 0])
 
 
 def test_column_independence_vs_rank_oracle():
@@ -187,8 +187,8 @@ def test_column_independence_vs_rank_oracle():
         s = rng.randrange(1, r + 1)
         a = [[rng.randrange(2) for _ in range(s)] for _ in range(r)]
         b = [rng.randrange(2) for _ in range(s)]
-        predicted = at.column_independence_criterion(coeffs, a, b)
-        matrix = at.mixing_matrix(coeffs, a, b)
+        predicted = column_independence_criterion(at, coeffs, a, b)
+        matrix = mixing_matrix(at, coeffs, a, b)
         cols = [tuple(matrix[i][j] for i in range(r)) for j in range(s)]
         direct = tower.mid_rank(cols) == s
         assert predicted == direct
@@ -214,7 +214,8 @@ def test_label_serialization_roundtrip(at23):
     w = at23.tower.ext.w
     rep = at23.t_representative(3, (w,))
     label = rep.label
-    assert OrbitLabel.from_key(label.key()) == label
+    assert at23.label_key_rows(rep.subspace.rows) == label.key()
+    assert label.key() == ("mixed", 3, 1, label.rep_rows)
     assert "mixed" in label.label_str()
 
 

@@ -422,3 +422,70 @@ def test_atlas_survey_script_runs():
     assert proc.returncode == 0, proc.stderr
     assert "lambda = 6\n" in proc.stdout
     assert "lambda = 42\n" in proc.stdout
+
+
+def _cli_env():
+    root = Path(__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("sample", [[], ["--sample", "5"]], ids=["full", "sampled"])
+def test_verify_v_below_two_exit_2(tmp_path, sample):
+    # a sampled draw of 2-subspaces of GF(2)^1 would never end
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "q": 2, "v": 1, "kind": "design", "K": [1],
+        "claimed_lambda": 0,
+        "blocks": {"explicit": [{"basis": [[1]], "multiplicity": 1}]}}))
+    proc = subprocess.run([sys.executable, "-m", "qgdd.cli", "verify",
+                           "--in", str(path)] + sample,
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: v must be an integer >= 2, got 1\n"
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("claim,code", [(6, 0), (7, 1)])
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+def test_verify_verdict_survives_closed_stdout(tmp_path, monkeypatch, capsys,
+                                               claim, code, as_json):
+    path = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+             "--select", "2,3=1", "--out", str(path)], capsys)
+    data = json.loads(path.read_text())
+    data["claimed_lambda"] = claim
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["verify", "--in", str(path)] + as_json) == code
+    assert capsys.readouterr().err == ""
+
+
+def test_other_command_exits_0_on_closed_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["singer-orbits", "--l", "4", "--d", "2", "--q", "2"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader takes 10 bytes of a long listing and closes the pipe
+    proc = subprocess.Popen([sys.executable, "-m", "qgdd.cli", "singer-orbits",
+                             "--l", "8", "--d", "4", "--q", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_cli_env())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head == b"791 orbit("
+    assert err == b""

@@ -74,7 +74,7 @@ def test_gdd_lambda_examples():
 
 def test_gdd_lambda_matches_observed(gdd633):
     report = verify_gdd(gdd633, mode="full")
-    assert report.observed_lambda("span2") == gdd633.claimed_lambda == 6
+    assert dict(report.lambda_by_class)["span2"] == gdd633.claimed_lambda == 6
 
 
 # -- gdd building and verification -----------------------------------------------
@@ -117,8 +117,16 @@ def test_corrupted_gdd_fails_with_witnesses(gdd633):
 def test_sampled_matches_full(gdd633):
     rep = verify_gdd(gdd633, mode="sampled", sample=200, seed=13)
     assert rep.passed
-    assert rep.observed_lambda("span2") == 6
+    assert dict(rep.lambda_by_class)["span2"] == 6
     assert rep.sample == (200, 13)
+
+
+@pytest.mark.parametrize("mode", ["full", "sampled"])
+def test_verify_needs_two_dimensions(mode):
+    design = DesignInstance(q=2, v=1, kind="design", K=(1,), claimed_lambda=0,
+                            blocks=make_explicit([((1,), 1)]))
+    with pytest.raises(ValueError, match="v >= 2, got v=1"):
+        verify_design(design, mode=mode, sample=5)
 
 
 @pytest.mark.parametrize("n", [0, -5])
@@ -220,7 +228,7 @@ def test_build_pbd_sampled_line_coverage():
     pbd = build_pbd(seed, 2, 3, GddSelection.of({(2, 3): 1}))
     rep = verify_design(pbd, mode="sampled", sample=300, seed=21)
     assert rep.passed
-    assert rep.observed_lambda("span1") == 1
+    assert dict(rep.lambda_by_class)["span1"] == 1
 
 
 # -- breaking blocks ---------------------------------------------------------------
@@ -232,7 +240,7 @@ def test_break_blocks_main_example():
     assert out.claimed_lambda == 3 and out.K == (2,)
     report = verify_design(out, mode="full")
     assert report.passed
-    assert report.observed_lambda("all") == 3
+    assert dict(report.lambda_by_class)["all"] == 3
 
 
 def test_break_blocks_identity_ingredient():
@@ -309,6 +317,25 @@ def test_fill_holes_shares_the_hole():
     master = complete_design(5, 3, 2)  # lambda = 7, needs 24
     with pytest.raises(ValueError):
         fill_holes(gdd, master, 2)
+
+
+def test_fill_holes_inside_the_hole(gdd633):
+    # n = 3: a master on GF(2)^6 claiming 2^3 * 6 = 48 that holds the hole
+    # itself 48 times, so the hole restriction is a design, and 40 blocks
+    # elsewhere; each group gets the 40, the hole block is placed once
+    from oracles import fill_holes_blocks
+    hole = (8, 16, 32)
+    others = Random(3).sample([r for r in iter_rref_bases(6, 3, 2) if r != hole], 40)
+    master = DesignInstance(
+        q=2, v=6, kind="design", K=(3,), claimed_lambda=48,
+        blocks=make_explicit([(hole, 48)] + [(r, 1) for r in others]))
+    out, report = fill_holes(gdd633, master, 3)
+    assert out.v == 9 and block_count(out) == 504 + 48 + 9 * 40 == 912
+    want = fill_holes_blocks(list(expand_blocks(gdd633)), gdd633.groups,
+                             master.blocks.items, Subspace(2, 6, hole), 6)
+    assert dict(out.blocks.items) == want
+    assert want[(64, 128, 256)] == 48  # the hole, moved to the last coordinates
+    assert report.checked == gaussian_binomial(9, 2, 2)
 
 
 # -- supplementary designs -------------------------------------------------------------
@@ -436,11 +463,11 @@ def test_json_rejects_non_positive_explicit_multiplicity():
 
 
 def test_orbit_rep_check_rejects_unknown_rows():
-    from qgdd.designs import _orbit_rep_check
-    assert _orbit_rep_check(2, 3, (1,)) == (1,)
-    assert _orbit_rep_check(2, 3, (2,)) == (1,)
+    from qgdd.designs import _singer_orbit
+    assert _singer_orbit(2, 3, (1,)).rep.rows == (1,)
+    assert _singer_orbit(2, 3, (2,)).rep.rows == (1,)
     with pytest.raises(ValueError, match="do not index a Singer orbit"):
-        _orbit_rep_check(2, 3, (3, 5))
+        _singer_orbit(2, 3, (3, 5))
 
 
 def test_json_rejects_explicit_block_outside_K():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from qgdd.fields import (Extension, FieldTower, build_tower, finite_field,
                          field_for_order, pack_coords, prime_power,
                          unpack_coords)
 from qgdd.subspaces import Subspace, canonicalize
+
+from oracles import apply_matrix, element_order, random_gl
 
 
 def test_prime_power():
@@ -34,9 +38,9 @@ def test_build_tower_orders_gf3():
     # primitive-element orders checked by their definition
     t = build_tower(3, 1, 4, 2)
     assert t.mid.order == 81
-    assert t.mid.element_order(t.mid.primitive) == 80
+    assert element_order(t.mid, t.mid.primitive) == 80
     top = finite_field(3, 8)
-    assert top.element_order(top.primitive) == 6560
+    assert element_order(top, top.primitive) == 6560
 
 
 def test_build_tower_rejects_bad_input():
@@ -59,14 +63,14 @@ def test_tower_deterministic():
 @pytest.mark.parametrize("p,e", [(2, 3), (2, 4), (3, 2), (5, 2), (2, 6)])
 def test_field_inverses_exhaustive(p, e):
     f = finite_field(p, e)
-    for a in f.nonzero_elements():
+    for a in range(1, f.order):
         assert f.mul(a, f.inv(a)) == 1
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2)])
 def test_field_ring_axioms_exhaustive(p, e):
     f = finite_field(p, e)
-    els = list(f.elements())
+    els = list(range(f.order))
     for a in els:
         for b in els:
             assert f.mul(a, b) == f.mul(b, a)
@@ -76,6 +80,33 @@ def test_field_ring_axioms_exhaustive(p, e):
         for b in els:
             for c in els[:5]:
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2)])
+def test_field_tables_match_polynomial_arithmetic(p, e):
+    # the log/antilog tables against the polynomial arithmetic they are built from
+    f = finite_field(p, e)
+    for a in range(f.order):
+        for b in range(f.order):
+            assert f.mul(a, b) == f._mul_raw(a, b)
+        for n in range(2 * f.order):
+            assert f.pow(a, n) == f._pow_raw(a, n)
+        if a:
+            assert f.inv(a) == f._pow_raw(a, f.order - 2)
+
+
+def test_field_above_table_limit_is_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="table limit"):
+        finite_field(2, 21)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("m,l,q", [(2, 3, 2), (3, 4, 2), (2, 3, 3), (2, 3, 4)])
+def test_atlas_and_singer_share_one_extension(m, l, q):
+    from qgdd.atlas import gl_atlas
+    from qgdd.singer import singer_action
+    assert gl_atlas(m, l, q).tower.ext is singer_action(l, q).ext
 
 
 def test_modulus_is_irreducible():
@@ -138,10 +169,10 @@ def test_span_dim_examples():
     Y2 = t.flatten_packed((0, 1))
     x2Y1 = t.flatten_packed((w, 0))
     x2Y1_plus_x2Y2 = t.flatten_packed((w, w))
-    assert at.classify(Subspace.span(2, 6, [Y1, x2Y1])).span_dim == 1
-    assert at.classify(Subspace.span(2, 6, [Y1, Y2])).span_dim == 2
-    assert at.classify(
-        Subspace.span(2, 6, [Y1, Y2, x2Y1_plus_x2Y2])).span_dim == 2
+    assert at.classify_rows(Subspace.span(2, 6, [Y1, x2Y1]).rows).span_dim == 1
+    assert at.classify_rows(Subspace.span(2, 6, [Y1, Y2]).rows).span_dim == 2
+    assert at.classify_rows(
+        Subspace.span(2, 6, [Y1, Y2, x2Y1_plus_x2Y2]).rows).span_dim == 2
 
 
 # (tower, vector length): GF(8)^3, GF(9)^2, and length-3 columns over GF(16)
@@ -211,10 +242,10 @@ def test_span_dim_invariant_under_middle_linear_maps():
     at = gl_atlas(2, 3, 2)
     rng = Random(5)
     W = Subspace.span(2, 6, [9, 18, 27])
-    d0 = at.classify(W).span_dim
+    d0 = at.classify_rows(W.rows).span_dim
     for _ in range(25):
-        g = at.random_gl(rng)
-        assert at.classify(at.apply_matrix(g, W)).span_dim == d0
+        g = random_gl(at, rng)
+        assert at.classify_rows(apply_matrix(at, g, W).rows).span_dim == d0
 
 
 def test_extension_with_nonprime_base():
@@ -223,8 +254,8 @@ def test_extension_with_nonprime_base():
     ext = Extension(base, 3)
     phi = ext.embed
     mid = ext.mid
-    for a in base.elements():
-        for b in base.elements():
+    for a in range(base.order):
+        for b in range(base.order):
             assert phi[base.add(a, b)] == mid.add(phi[a], phi[b])
             assert phi[base.mul(a, b)] == mid.mul(phi[a], phi[b])
     assert sorted(ext.pow_to_mid) == list(range(64))

@@ -111,10 +111,12 @@ def test_orbit_reps_sorted_and_deterministic():
 
 
 def test_matrix_order():
+    # the Singer cycle is multiplication by a primitive element
+    from oracles import element_order
     action = singer_action(4, 2)
-    assert action.matrix_order() == 15
+    assert element_order(action.mid, action.ext.w) == 15
     action3 = singer_action(3, 3)
-    assert action3.matrix_order() == 26
+    assert element_order(action3.mid, action3.ext.w) == 26
 
 
 def test_orbit_members_length():
@@ -165,25 +167,57 @@ def test_h_incidence_trivial():
 @pytest.mark.parametrize("l,expected", [(4, 3), (7, 31)])
 def test_h_incidence_row_sums(l, expected):
     m = h_incidence_matrix(l, 2, 3, 2)
-    assert set(m.row_sums()) == {expected}
+    assert {sum(row) for row in m.entries} == {expected}
     assert expected == gaussian_binomial(l - 2, 1, 2)
 
 
 def test_h_incidence_brute_force_cross_check():
     # every entry recounted by filtering the full orbit of each column
+    from oracles import containment_count
     action = singer_action(4, 2)
     m = h_incidence_matrix(4, 2, 3, 2)
     rows = action.orbit_representatives(2)
     cols = action.orbit_representatives(3)
     for i, ro in enumerate(rows):
-        T = ro.rep
         for j, co in enumerate(cols):
-            count = 0
-            for member in action.cycle(co.rep.rows):
-                K = Subspace(2, 4, member)
-                if all(K.contains_vector(r) for r in T.rows):
-                    count += 1
-            assert count == m.entries[i][j]
+            assert containment_count(action, ro.rep.rows, co.rep.rows) == m.entries[i][j]
+
+
+INCIDENCE_POINTS = [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("l,q", INCIDENCE_POINTS)
+def test_incidence_row_matches_containment_count(l, q):
+    # every (2-orbit, d-orbit) pair, d = 2..l
+    from oracles import containment_count
+    action = singer_action(l, q)
+    for row in action.orbit_representatives(2):
+        for d in range(2, l + 1):
+            got = action.incidence_row(row.rep.rows, d)
+            want = [containment_count(action, row.rep.rows, col.rep.rows)
+                    for col in action.orbit_representatives(d)]
+            assert got == want
+
+
+@pytest.mark.parametrize("l,q", INCIDENCE_POINTS)
+def test_line_coverage_matches_containment_count(l, q):
+    # a design whose line labels are every Singer orbit of dimension 1..l,
+    # with distinct multiplicities, so a misread entry changes the total
+    from oracles import containment_count
+    from qgdd.atlas import OrbitLabel
+    from qgdd.designs import (DesignInstance, ImplicitBlocks, LabelWeight,
+                              _ImplicitCoverage)
+    action = singer_action(l, q)
+    orbits = [o for d in range(1, l + 1) for o in action.orbit_representatives(d)]
+    weights = [LabelWeight(OrbitLabel(o.d, 1, None, o.rep.rows), i + 1)
+               for i, o in enumerate(orbits)]
+    design = DesignInstance(q=q, v=2 * l, kind="design", K=(3,), claimed_lambda=None,
+                            blocks=ImplicitBlocks(2, l, 3, (), tuple(weights), False))
+    cov = _ImplicitCoverage(design)
+    for row in action.orbit_representatives(2):
+        want = sum(lw.multiplicity * containment_count(action, row.rep.rows, o.rep.rows)
+                   for lw, o in zip(weights, orbits) if o.d >= 2)
+        assert cov._line_coverage(row.rep.rows) == want
 
 
 def test_km_solve_trivial():

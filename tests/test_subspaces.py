@@ -122,12 +122,13 @@ def test_superspaces_count_and_filter():
     sup = list(superspaces(U, 3))
     assert len(sup) == gaussian_binomial(4, 1, 2) == 15
     assert len(set(sup)) == 15
-    by_filter = [s for s in enumerate_subspaces(6, 3, 2) if s.contains(U)]
+    by_filter = [s for s in enumerate_subspaces(6, 3, 2)
+                 if all(s.contains_vector(r) for r in U.rows)]
     assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
 
 
 def test_superspaces_trivial():
-    U = Subspace.full(2, 4)
+    U = Subspace(2, 4, (1, 2, 4, 8))
     assert list(superspaces(U, 4)) == [U]
 
 
@@ -162,3 +163,14 @@ def test_contains_vector_gf3():
 def test_vectors_iteration():
     s = canonicalize([(1, 0, 0), (0, 1, 0)], 2)
     assert sorted(s.vectors()) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 4])
+def test_span_matches_per_coefficient_combination(q, d):
+    from oracles import span_table
+    rng = Random(10 * q + d)
+    ops = vector_ops(q, d + 1)
+    for _ in range(4):
+        rows = [rng.randrange(q ** (d + 1)) for _ in range(d)]
+        assert ops.span(rows) == span_table(rows, ops)
