@@ -755,11 +755,11 @@ def fill_holes(gdd: DesignInstance, master: DesignInstance,
     if hole.q != q or hole.v != master.v or hole.dim != n:
         raise ValueError("hole must be an n-subspace of the master's space")
     # packed coordinates, w.r.t. the hole basis, of each vector of the hole
-    hole_coords = {x: c for c, x in enumerate(hole.vectors())}
+    hole_index = {x: c for c, x in enumerate(hole.vectors())}
     inside = []
     outside = []
     for rows, mult in expand_blocks(master, budget=budget):
-        if all(r in hole_coords for r in rows):
+        if all(r in hole_index for r in rows):
             inside.append((rows, mult))
         else:
             outside.append((rows, mult))
@@ -777,7 +777,7 @@ def fill_holes(gdd: DesignInstance, master: DesignInstance,
             for rows, mult in outside:
                 yield ops_out.rref([span[r] for r in rows]), mult
         for rows, mult in inside:
-            yield ops_out.rref([hole_span[hole_coords[r]] for r in rows]), mult
+            yield ops_out.rref([hole_span[hole_index[r]] for r in rows]), mult
 
     out = DesignInstance(
         q=q, v=v_out, kind="design", K=(k,), claimed_lambda=lam_expected,
