@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import FieldTower, build_tower, prime_power
+from .fields import FieldTower, build_tower, prime_power, unpack_coords
 from .singer import SingerAction, singer_action
 from .subspaces import Subspace, vector_ops
 
@@ -408,12 +408,7 @@ class GlAtlas:
                                for vec in vectors for c in range(self.Q)]
                 span = set(vectors)
             for packed in range(1, self.Q ** m):
-                col = []
-                rest = packed
-                for _ in range(m):
-                    rest, c = divmod(rest, self.Q)
-                    col.append(c)
-                col = tuple(col)
+                col = unpack_coords(packed, self.Q, m)
                 if col in span:
                     continue
                 columns.append(col)

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 from . import incidence
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
+from .fields import pack_coords, unpack_coords
 from .singer import HOrbit, n_orbits_with_stabilizer, singer_action
 from .subspaces import Subspace, gaussian_binomial, iter_rref_bases, vector_ops
 # Not called here; perfbench/spans.py still traces it under this module.
@@ -161,12 +162,7 @@ def _spread_generators(atlas: GlAtlas) -> list[tuple[int, ...]]:
     for lead in range(m):
         tail = m - lead - 1
         for packed in range(Q ** tail):
-            vec = [0] * lead + [1]
-            rest = packed
-            for _ in range(tail):
-                rest, c = divmod(rest, Q)
-                vec.append(c)
-            gens.append(tuple(vec))
+            gens.append((0,) * lead + (1,) + unpack_coords(packed, Q, tail))
     return gens
 
 
@@ -860,7 +856,7 @@ def subspace_from_lists(rows: list[list[int]], q: int, v: int,
         raise ValueError("a basis must be a list of integer coordinate lists")
     sub = canonicalize(rows, q, v)
     if strict:
-        packed = tuple(vector_ops(q, v).vector_from_coords(r) for r in rows)
+        packed = tuple(pack_coords(r, q) for r in rows)
         if packed != sub.rows:
             raise ValueError("basis rows are not in canonical echelon form")
     return sub
@@ -950,9 +946,7 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         items = []
         for entry in _object_list(raw["explicit"], "explicit blocks"):
             sub = subspace_from_lists(entry.get("basis"), q, v, strict)
-            if sub.dim not in K:
-                raise ValueError(
-                    f"explicit block of dimension {sub.dim} is not in K={list(K)}")
+            _check_block_in_K("explicit", sub.dim, K)
             items.append((sub.rows, _int_field(entry, "multiplicity", 1)))
         blocks: ImplicitBlocks | ExplicitBlocks = make_explicit(iter(items))
     else:
@@ -970,16 +964,28 @@ def design_from_json_dict(data: dict, strict: bool = True) -> DesignInstance:
         line_labels = []
         for entry in _object_list(imp.get("line_labels", []), "line_labels"):
             dim = _int_field(entry, "dim", 1, l)
+            _check_block_in_K("implicit", dim, K)
             rep = _label_rep(entry, q, l, dim, strict)
             line_labels.append(LabelWeight(OrbitLabel(dim, 1, None, rep),
                                            _int_field(entry, "multiplicity", 1)))
+        omega_kk = imp.get("omega_kk", False)
+        if type(omega_kk) is not bool:
+            raise ValueError(f"omega_kk must be true or false, got {omega_kk!r}")
+        GddSelection.of(omega_kk=omega_kk).validate(m, l, k, q)
+        if labels or omega_kk:
+            _check_block_in_K("implicit", k, K)
         blocks = ImplicitBlocks(m, l, k, tuple(labels), tuple(line_labels),
-                                bool(imp.get("omega_kk", False)))
+                                omega_kk)
     if kind == "gdd" and groups:
         _group_index(q, v, groups)
     return DesignInstance(q=q, v=v, kind=kind, K=K, claimed_lambda=lam,
                           blocks=blocks, groups=groups,
                           claimed_lambda_by_class=by_class_t)
+
+
+def _check_block_in_K(kind: str, dim: int, K: tuple[int, ...]) -> None:
+    if dim not in K:
+        raise ValueError(f"{kind} block of dimension {dim} is not in K={list(K)}")
 
 
 def _object_list(value, what: str) -> list[dict]:

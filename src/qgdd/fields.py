@@ -5,8 +5,10 @@ constant coefficient in the least significant base-p digit.  Multiplication
 goes through log/antilog tables, so fields above 2^20 elements are rejected.
 
 Vectors over GF(q) of length v are packed into a single int with base-q
-digits, coordinate 0 in the least significant digit.  For characteristic 2
-vector addition is plain integer XOR.
+digits, coordinate 0 in the least significant digit.  For q = p^e a packed
+vector is therefore one base-p digit string, and adding vectors is the same
+digit-by-digit addition over GF(p) as adding field elements (`add_digits`);
+for characteristic 2 it is plain integer XOR.
 """
 
 from __future__ import annotations
@@ -80,6 +82,22 @@ def unpack_coords(n: int, q: int, length: int) -> tuple[int, ...]:
         n, c = divmod(n, q)
         out.append(c)
     return tuple(out)
+
+
+def add_digits(a: int, b: int, p: int, s: int = 1) -> int:
+    """a + s*b digit by digit mod p, on ints packed as base-p digits.
+
+    s is a nonzero residue mod p (p - 1 subtracts); at p = 2 this is a ^ b.
+    """
+    if p == 2:
+        return a ^ b
+    out, mult = 0, 1
+    while a or b:
+        a, ca = divmod(a, p)
+        b, cb = divmod(b, p)
+        out += (ca + s * cb) % p * mult
+        mult *= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +235,10 @@ class FiniteField:
     # -- public arithmetic ---------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        out, mult = 0, 1
-        for _ in range(self.e):
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += (ca + cb) % p * mult
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        out, mult = 0, 1
-        for _ in range(self.e):
-            a, ca = divmod(a, p)
-            out += (-ca) % p * mult
-            mult *= p
-        return out
+        return add_digits(a, b, self.p)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return add_digits(a, b, self.p, self.p - 1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -330,24 +328,12 @@ class Extension:
                 for i in range(l)]
         self.slot = slot
         pow_to_mid = [0] * mid.order
-        if self.base.p == 2:
-            for v in range(mid.order):
-                acc, rest, i = 0, v, 0
-                while rest:
-                    c = rest & (q - 1)
-                    if c:
-                        acc ^= slot[i][c]
-                    rest >>= q.bit_length() - 1
-                    i += 1
-                pow_to_mid[v] = acc
-        else:
-            for v in range(mid.order):
-                acc, rest = 0, v
-                for i in range(l):
-                    rest, c = divmod(rest, q)
-                    if c:
-                        acc = mid.add(acc, slot[i][c])
-                pow_to_mid[v] = acc
+        for v in range(mid.order):
+            acc = 0
+            for i, c in enumerate(unpack_coords(v, q, l)):
+                if c:
+                    acc = mid.add(acc, slot[i][c])
+            pow_to_mid[v] = acc
         mid_to_pow = [0] * mid.order
         for v, x in enumerate(pow_to_mid):
             mid_to_pow[x] = v

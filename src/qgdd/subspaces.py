@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import field_for_order, pack_coords, unpack_coords
+from .fields import add_digits, field_for_order, pack_coords, unpack_coords
 
 
 def gaussian_binomial(v: int, k: int, q: int) -> int:
@@ -41,19 +41,9 @@ class VectorOps:
         self.v = v
         self.field = field_for_order(q)
         self.qpow = [q ** j for j in range(v + 1)]
-        self.char2 = self.field.p == 2
 
     def add(self, a: int, b: int) -> int:
-        if self.char2:
-            return a ^ b
-        f, q = self.field, self.q
-        out, mult = 0, 1
-        while a or b:
-            a, ca = divmod(a, q)
-            b, cb = divmod(b, q)
-            out += f.add(ca, cb) * mult
-            mult *= q
-        return out
+        return add_digits(a, b, self.field.p)
 
     def smul(self, c: int, a: int) -> int:
         if c == 0:
@@ -71,9 +61,8 @@ class VectorOps:
 
     def sub_scaled(self, a: int, c: int, b: int) -> int:
         """a - c*b."""
-        if self.char2:
-            return a ^ self.smul(c, b)
-        return self.add(a, self.smul(self.field.neg(c), b))
+        p = self.field.p
+        return add_digits(a, self.smul(c, b), p, p - 1)
 
     def digit(self, a: int, j: int) -> int:
         return (a // self.qpow[j]) % self.q
@@ -135,9 +124,6 @@ class VectorOps:
 
     def rank(self, rows: Iterable[int]) -> int:
         return len(self.rref(rows))
-
-    def vector_from_coords(self, coords: Sequence[int]) -> int:
-        return pack_coords(coords, self.q)
 
 
 def _rref2(rows: Iterable[int]) -> tuple[int, ...]:
@@ -271,14 +257,8 @@ def lift_row(row: int, positions: Sequence[int], q: int) -> int:
             out |= 1 << positions[low.bit_length() - 1]
             row ^= low
         return out
-    out = 0
-    t = 0
-    while row:
-        row, c = divmod(row, q)
-        if c:
-            out += c * q ** positions[t]
-        t += 1
-    return out
+    coords = unpack_coords(row, q, len(positions))
+    return sum(c * q ** pos for pos, c in zip(positions, coords))
 
 
 def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:

@@ -2,8 +2,9 @@
 
 Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
-orders, GF(q)-combinations one coefficient at a time, and Singer incidence
-by cycling an orbit and testing containment.
+orders, addition one coordinate and one digit at a time, GF(q)-combinations
+one coefficient at a time, and Singer incidence by cycling an orbit and
+testing containment.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from qgdd.fields import factorize
+from qgdd.fields import factorize, pack_coords, prime_power, unpack_coords
 from qgdd.subspaces import Subspace, vector_ops
 
 
@@ -41,7 +42,7 @@ def column_independence_criterion(atlas, coeffs: Sequence[int],
     """
     r, s = len(coeffs), len(b)
     ops = vector_ops(atlas.q, r + 1)
-    rows = [ops.vector_from_coords([b[j]] + [a[i][j] for i in range(r)])
+    rows = [pack_coords([b[j]] + [a[i][j] for i in range(r)], atlas.q)
             for j in range(s)]
     return ops.rank(rows) == s
 
@@ -68,6 +69,21 @@ def element_order(field, a: int) -> int:
         while order % r == 0 and field.pow(a, order // r) == 1:
             order //= r
     return order
+
+
+def add_per_coordinate(a: int, b: int, q: int, v: int, s: int = 1) -> int:
+    """a + s*b for packed vectors of GF(q)^v, q = p^e.
+
+    Each base-q coordinate is split into its e base-p digits, and each digit
+    pair is added mod p on its own.
+    """
+    p, e = prime_power(q)
+    coords = []
+    for x, y in zip(unpack_coords(a, q, v), unpack_coords(b, q, v)):
+        digits = [(dx + s * dy) % p
+                  for dx, dy in zip(unpack_coords(x, p, e), unpack_coords(y, p, e))]
+        coords.append(pack_coords(digits, p))
+    return pack_coords(coords, q)
 
 
 # -- GF(q)-combinations -----------------------------------------------------------

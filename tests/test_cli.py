@@ -151,7 +151,11 @@ def _other_orbit_member(data):
     (("3", "2,3=1"), lambda d: d["blocks"]["implicit"].update(k=4)),
     (("3", "2,3=1"), lambda d: d["blocks"]["implicit"]["labels"][0].update(u=1)),
     (("4", "2,1=1"), _other_orbit_member),
-], ids=["k=4", "u=1", "rep-off-canonical"])
+    (("3", "2,3=1"), lambda d: d["blocks"]["implicit"].update(omega_kk=True)),
+    (("3", "2,3=1"), lambda d: d["blocks"]["implicit"].update(omega_kk="false")),
+    (("3", "2,3=1"), lambda d: d.update(K=[5])),
+], ids=["k=4", "u=1", "rep-off-canonical", "omega_kk-k>m", "omega_kk-string",
+        "K-without-k"])
 def test_verify_malformed_implicit_exit_2_in_both_modes(tmp_path, capsys, params,
                                                         mutate, lenient):
     out_file = tmp_path / "g.json"
@@ -161,10 +165,11 @@ def test_verify_malformed_implicit_exit_2_in_both_modes(tmp_path, capsys, params
     data = json.loads(out_file.read_text())
     mutate(data)
     out_file.write_text(json.dumps(data))
-    code, out, err = run_cli(["verify", "--in", str(out_file)]
-                             + ["--lenient"] * lenient, capsys)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    for sample in ([], ["--sample", "50"]):
+        code, out, err = run_cli(["verify", "--in", str(out_file)] + sample
+                                 + ["--lenient"] * lenient, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -447,6 +447,11 @@ def _set_implicit(field, value):
                                    "multiplicity": 1, "u": 3}]),  # u = 1
     _set_implicit("line_labels", [{"rep": [[1, 0, 0], [0, 1, 0]], "dim": 2,
                                    "multiplicity": 1}]),
+    _set_implicit("line_labels", [{"rep": [[1, 0, 0], [0, 1, 0]], "dim": 2,
+                                   "multiplicity": 1, "u": 1}]),  # 2 not in K
+    _set_implicit("omega_kk", "false"),
+    _set_implicit("omega_kk", 0),
+    _set_implicit("omega_kk", True),  # k = 3 > m = 2
 ])
 def test_json_rejects_malformed_labels(gdd633, mutate):
     data = json.loads(json.dumps(design_to_json_dict(gdd633)))
@@ -504,6 +509,8 @@ def _set_top(field, value):
     _set_implicit("l", None),
     _set_implicit("k", None),
     _set_implicit("k", "3"),
+    _set_top("K", [5]),  # the design's blocks have dimension 3
+    _set_top("K", [2]),
 ])
 def test_json_rejects_malformed_top_level(gdd633, mutate):
     data = json.loads(json.dumps(design_to_json_dict(gdd633)))
@@ -526,6 +533,30 @@ def test_json_bytes_stable(gdd633):
         build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1}))),
         indent=2, sort_keys=True)
     assert a == b
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1})),
+    lambda: build_gdd(3, 3, 3, 2, GddSelection.of({(2, 3): 1}, omega_kk=True)),
+    lambda: build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1})),
+    lambda: build_pbd(complete_design(3, 2, 2), 2, 3,
+                      GddSelection.of({(2, 3): 1})),
+    lambda: build_pbd(complete_design(3, 3, 2), 2, 3,
+                      GddSelection.of({(2, 3): 1})),
+    lambda: build_pbd(complete_design(3, 2, 2, mult=6), 2, 3,
+                      GddSelection.of({(2, 3): 1})),
+    lambda: build_pbd(complete_design(3, 2, 2), 3, 3,
+                      GddSelection.of({}, omega_kk=True)),
+    lambda: break_blocks(complete_design(4, 3, 2), {3: complete_design(3, 2, 2)}),
+    lambda: fill_holes(build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1})),
+                       complete_design(3, 3, 2, mult=6), 0)[0],
+    lambda: supplementary(build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1}))),
+], ids=["gdd", "gdd-omega", "gdd-q3", "pbd-mixed", "pbd-seed-k3", "pbd",
+        "pbd-omega", "break-blocks", "fill-holes", "supplement"])
+def test_every_builder_output_loads(build):
+    design = build()
+    data = json.loads(json.dumps(design_to_json_dict(design)))
+    assert design_from_json_dict(data) == design
 
 
 def test_json_pbd_roundtrip():

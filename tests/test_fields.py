@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgdd.fields import (Extension, FieldTower, build_tower, finite_field,
-                         field_for_order, pack_coords, prime_power,
-                         unpack_coords)
-from qgdd.subspaces import Subspace, canonicalize
+from qgdd.fields import (Extension, FieldTower, add_digits, build_tower,
+                         finite_field, field_for_order, pack_coords,
+                         prime_power, unpack_coords)
+from qgdd.subspaces import Subspace, canonicalize, vector_ops
 
-from oracles import apply_matrix, element_order, random_gl
+from oracles import add_per_coordinate, apply_matrix, element_order, random_gl
 
 
 def test_prime_power():
@@ -264,3 +264,21 @@ def test_extension_with_nonprime_base():
 def test_pack_unpack_roundtrip():
     for n in range(81):
         assert pack_coords(unpack_coords(n, 3, 4), 3) == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9]), v=st.integers(1, 6), data=st.data())
+def test_digit_addition_matches_per_coordinate_oracle(q, v, data):
+    field = field_for_order(q)
+    p = field.p
+    ops = vector_ops(q, v)
+    a, b = (data.draw(st.integers(0, q ** v - 1)) for _ in range(2))
+    c = data.draw(st.integers(0, q - 1))
+    for s in range(1, p):
+        assert add_digits(a, b, p, s) == add_per_coordinate(a, b, q, v, s)
+    assert ops.add(a, b) == add_per_coordinate(a, b, q, v)
+    cb = pack_coords([field.mul(c, y) for y in unpack_coords(b, q, v)], q)
+    assert ops.sub_scaled(a, c, b) == add_per_coordinate(a, cb, q, v, p - 1)
+    x, y = a % q, b % q
+    assert field.add(x, y) == add_per_coordinate(x, y, q, 1)
+    assert field.sub(x, y) == add_per_coordinate(x, y, q, 1, p - 1)
