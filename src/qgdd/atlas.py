@@ -153,7 +153,7 @@ class GlAtlas:
         basis of another length than the previous one starts afresh.
         """
         tower = self.tower
-        unflatten = tower.unflatten_packed
+        unflatten = lru_cache(maxsize=None)(tower.unflatten_packed)  # each row once
         reduce = tower.mid_reduce
         m = self.m
         prev: list[int] = []      # rows of the previous basis

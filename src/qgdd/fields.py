@@ -3,6 +3,8 @@
 Field elements are ints in [0, p^e) encoding coefficient vectors over GF(p),
 constant coefficient in the least significant base-p digit.  Multiplication
 goes through log/antilog tables, so fields above 2^20 elements are rejected.
+GF(q^l) row reduction (`FieldTower.mid_reduce`) reads per-scalar multiplication
+rows, plus an addition table at odd p, up to q^l = 256; above, `FiniteField`.
 
 Vectors over GF(q) of length v are packed into a single int with base-q
 digits, coordinate 0 in the least significant digit.  For q = p^e a packed
@@ -13,10 +15,11 @@ for characteristic 2 it is plain integer XOR.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 _TABLE_LIMIT = 1 << 20
+_ELIMINATION_TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -409,6 +412,22 @@ class FieldTower:
             self.mid_reduce(echelon, list(vec), len(vec))
         return len(echelon)
 
+    @cached_property
+    def elimination_tables(self) -> tuple[list | None, list | None]:
+        """GF(q^l) tables, built on first use: scale[c][x] = c*x and, at odd p,
+        add[a][x] = a + x (None at p = 2: a ^ x); (None, None) above the cap."""
+        Q, p = self.Q, self.p
+        if Q > _ELIMINATION_TABLE_LIMIT:
+            return None, None
+        exp, logs = self.mid.exp, self.mid.log[1:]
+        scale = [[0] * Q] + [[0] + [exp[lc + lx] for lx in logs] for lc in logs]
+        if p == 2:
+            return scale, None
+        add = [list(range(Q))]  # digit-wise: a + x = (a0 + x0) % p + p * (a//p + x//p)
+        for a in range(1, Q):
+            add.append([(a + x) % p + p * add[a // p][x // p] for x in range(Q)])
+        return scale, add
+
     def mid_reduce(self, echelon: list[tuple[int, list[int]]], cur: list[int],
                    width: int) -> list[int] | None:
         """One GF(q^l) row-reduction step against echelon rows (pivot, row).
@@ -420,15 +439,22 @@ class FieldTower:
         None is returned; otherwise the reduced row is returned.
         """
         mid = self.mid
-        sub, mul = mid.sub, mid.mul
+        scale, add = self.elimination_tables
         for piv, ech in echelon:
             c = cur[piv]
-            if c:
-                cur = [sub(a, mul(c, b)) for a, b in zip(cur, ech)]
+            if c and add:
+                row = scale[scale[self.p - 1][c]]  # -c, as p - 1 is -1 in GF(p)
+                cur = [add[a][row[b]] for a, b in zip(cur, ech)]
+            elif c and scale:
+                row = scale[c]
+                cur = [a ^ row[b] for a, b in zip(cur, ech)]
+            elif c:
+                cur = [mid.sub(a, mid.mul(c, b)) for a, b in zip(cur, ech)]
         for piv in range(width):
             if cur[piv]:
                 inv = mid.inv(cur[piv])
-                echelon.append((piv, [mul(inv, a) for a in cur]))
+                echelon.append((piv, [scale[inv][a] for a in cur] if scale
+                                else [mid.mul(inv, a) for a in cur]))
                 return None
         return cur
 

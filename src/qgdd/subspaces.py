@@ -267,8 +267,9 @@ def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:
     if not d <= k <= U.v:
         raise ValueError("need dim(U) <= k <= v")
     positions = complement_positions(U)
+    lift = lru_cache(maxsize=None)(lambda r: lift_row(r, positions, U.q))  # each row once
     for rows in iter_rref_bases(U.v - d, k - d, U.q):
-        yield U.rows + tuple(lift_row(r, positions, U.q) for r in rows)
+        yield U.rows + tuple([lift(r) for r in rows])
 
 
 def superspaces(U: Subspace, k: int) -> Iterator[Subspace]:

@@ -320,18 +320,26 @@ def test_label_keys_prefix_sharing_reaches_every_class():
 
 
 def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
-    # a lost prefix reuse would unflatten all 3 rows of each of the 127 bases
+    # a lost prefix reuse would reduce all 3 rows of each of the 127 bases
     at = gl_atlas(3, 3, 2)
     rows, _, _ = _row_and_col_labels(at, 3)
     bases = list(iter_superspace_bases(realize_2row(at, rows[-1]), 3))
+    assert len(bases) == 127
     prefixes = {b[:i] for b in bases for i in range(1, len(b))}
-    calls = []
-    original = FieldTower.unflatten_packed
+    calls, reductions = [], []
+    unflatten, reduce = FieldTower.unflatten_packed, FieldTower.mid_reduce
 
     def counted(self, row):
         calls.append(row)
-        return original(self, row)
+        return unflatten(self, row)
+
+    def counted_reduce(self, *args):
+        reductions.append(1)
+        return reduce(self, *args)
 
     monkeypatch.setattr(FieldTower, "unflatten_packed", counted)
-    assert sum(1 for _ in at.label_keys(iter(bases))) == len(bases) == 127
-    assert len(calls) <= len(bases) + len(prefixes) + 2
+    monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
+    # the stream runs twice, so a lost row memo would unflatten every row again
+    assert sum(1 for _ in at.label_keys(iter(bases + bases))) == 2 * len(bases)
+    assert len(reductions) <= 2 * len(bases) + len(prefixes) + 2
+    assert sorted(calls) == sorted({r for b in bases for r in b})

@@ -175,9 +175,36 @@ def test_span_dim_examples():
         Subspace.span(2, 6, [Y1, Y2, x2Y1_plus_x2Y2]).rows).span_dim == 2
 
 
-# (tower, vector length): GF(8)^3, GF(9)^2, and length-3 columns over GF(16)
+# (tower, vector length): GF(8)^3, GF(9)^2, length-3 columns over GF(16),
+# GF(27)^2 (odd-p tables) and GF(512)^2 (above the table cap: field calls)
 ECHELON_CASES = ((build_tower(2, 1, 3, 3), 3), (build_tower(3, 1, 2, 2), 2),
-                 (build_tower(2, 1, 4, 2), 3))
+                 (build_tower(2, 1, 4, 2), 3), (build_tower(3, 1, 3, 2), 2),
+                 (build_tower(2, 1, 9, 2), 2))
+
+
+@pytest.mark.parametrize("p,l", [(2, 4), (3, 3), (2, 6), (2, 7)])
+def test_elimination_tables_match_field_arithmetic(p, l):
+    """Every scale row and every table sum, against FiniteField, exhaustively."""
+    tower = build_tower(p, 1, l, 2)
+    mid, Q = tower.mid, tower.Q
+    scale, add = tower.elimination_tables
+    assert len(scale) == Q and all(len(row) == Q for row in scale)
+    for c in range(Q):
+        assert scale[c] == [mid.mul(c, x) for x in range(Q)]
+    assert (add is None) == (p == 2)
+    for a in range(Q):
+        for x in range(Q):
+            # mid_reduce forms a - x as a ^ x at p = 2 and add[a][-x] otherwise
+            minus_x = scale[p - 1][x]
+            assert mid.sub(a, x) == (a ^ x if add is None else add[a][minus_x])
+            assert mid.add(a, x) == (a ^ x if add is None else add[a][x])
+
+
+def test_elimination_tables_cap():
+    assert build_tower(2, 1, 8, 2).elimination_tables[0] is not None
+    assert build_tower(2, 1, 9, 2).elimination_tables == (None, None)
+    assert build_tower(3, 1, 5, 2).elimination_tables[1] is not None
+    assert build_tower(3, 1, 6, 2).elimination_tables == (None, None)
 
 
 def _combination(mid, coef, vecs):

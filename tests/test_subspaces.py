@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from random import Random
 
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgdd.subspaces import (Subspace, canonicalize, enumerate_subspaces,
-                            gaussian_binomial, intersection_dim,
-                            iter_rref_bases, superspaces, vector_ops)
+from qgdd.subspaces import (Subspace, canonicalize, complement_positions,
+                            enumerate_subspaces, gaussian_binomial,
+                            intersection_dim, iter_rref_bases,
+                            iter_superspace_bases, lift_row, superspaces,
+                            vector_ops)
 
 
 def brute_count_subspaces(v, d, q):
@@ -125,6 +128,27 @@ def test_superspaces_count_and_filter():
     by_filter = [s for s in enumerate_subspaces(6, 3, 2)
                  if all(s.contains_vector(r) for r in U.rows)]
     assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_superspaces_order_and_coverage(q):
+    # pivots 0 and 2, so the complement positions 1, 3, 4 are not contiguous
+    U = canonicalize([(1, q - 1, 0, 0, 0), (0, 0, 1, 0, 1)], q)
+    assert inspect.isgeneratorfunction(iter_superspace_bases)
+    # the memoised lift yields what lifting every row anew yields, in order
+    positions = complement_positions(U)
+    per_row = [U.rows + tuple(lift_row(r, positions, q) for r in rows)
+               for rows in iter_rref_bases(3, 1, q)]
+    assert list(iter_superspace_bases(U, 3)) == per_row
+    sup = list(superspaces(U, 3))
+    assert len(sup) == len(set(sup)) == gaussian_binomial(3, 1, q)
+    by_filter = [s for s in enumerate_subspaces(5, 3, q)
+                 if all(s.contains_vector(r) for r in U.rows)]
+    assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
+    # at k = 4 quotient rows repeat across bases, so the memo is reused
+    per_row_4 = [U.rows + tuple(lift_row(r, positions, q) for r in rows)
+                 for rows in iter_rref_bases(3, 2, q)]
+    assert list(iter_superspace_bases(U, 4)) == per_row_4
 
 
 def test_superspaces_trivial():
