@@ -24,20 +24,21 @@ def survey(m: int, l: int, k: int, q: int) -> None:
           f"|GL({m},{q}^{l})| = {gl_order(m, atlas.Q)}")
     print(f"   spread: {(atlas.Q ** m - 1) // (atlas.Q - 1)} groups of dim {l}; "
           f"{gaussian_binomial(v, k, q)} total {k}-subspaces")
-    for r in range(1, k):
-        reps = atlas.representatives(k, r)
-        by_u = {}
-        for rep in reps:
-            by_u.setdefault(rep.u, []).append(rep)
-        for u, group in sorted(by_u.items()):
-            size = atlas.orbit_size(k, r, u)
-            print(f"   r={r} u={u}: {len(group)} orbit(s) of size {size} "
-                  f"(n = {n_orbits_with_stabilizer(r + 1, u, l, q)})")
+    labels = atlas.orbit_labels(k)
+    by_ru = {}
+    for label in labels:
+        if label.kind == "mixed":
+            by_ru.setdefault((label.r, atlas.label_u(label)), []).append(label)
+    for (r, u), group in sorted(by_ru.items()):
+        size = atlas.label_orbit_size(group[0])
+        print(f"   r={r} u={u}: {len(group)} orbit(s) of size {size} "
+              f"(n = {n_orbits_with_stabilizer(r + 1, u, l, q)})")
     if k <= m:
-        print(f"   span-{k} class: single orbit of size {atlas.full_class_size(k)}")
+        print(f"   span-{k} class: single orbit of size "
+              f"{atlas.label_orbit_size(labels[-1])}")
     print("   single-orbit coverages:")
-    for r in range(2, k):
-        for u in sorted({rep.u for rep in atlas.representatives(k, r)}):
+    for r, u in sorted(by_ru):
+        if r >= 2:
             sel = GddSelection.of({(r, u): 1})
             print(f"     w_({r},{u})=1  ->  lambda = {gdd_lambda(sel, m, l, k, q)}")
     if k <= m:

@@ -1,8 +1,7 @@
 """Constructors and exhaustive verifiers for q-analogs of group divisible
 designs, pairwise balanced designs, and subspace 2-designs over GF(q)."""
 
-from .atlas import (GlAtlas, OrbitLabel, OrbitRepresentative, SpanClass,
-                    gl_atlas, gl_order)
+from .atlas import GlAtlas, OrbitLabel, SpanClass, gl_atlas, gl_order
 from .fields import FieldTower, FiniteField, build_tower, finite_field
 from .incidence import (brute_force_matrix, closed_form_matrix,
                         verify_closed_form)

@@ -89,26 +89,6 @@ class OrbitLabel:
             return f"line(k={self.dim}):{rep}"
         return f"mixed(k={self.dim};r={self.r}):{rep}"
 
-    def sort_key(self) -> tuple:
-        return (self.span_dim, self.r or 0, self.rep_rows or ())
-
-
-@dataclass(frozen=True)
-class OrbitRepresentative:
-    """Canonical representative of a mixed-class orbit.
-
-    The realized subspace is spanned by the first k-1 middle-level unit
-    vectors together with sum(coeffs[i] * Y_(i+1)); coeffs are field elements
-    of GF(q^l) that are independent of 1 over GF(q).
-    """
-
-    k: int
-    r: int
-    u: int
-    coeffs: tuple[int, ...]
-    subspace: Subspace
-    label: OrbitLabel
-
 
 class GlAtlas:
     """Orbit atlas for GL(m, q^l) acting on subspaces of GF(q)^(ml)."""
@@ -224,72 +204,6 @@ class GlAtlas:
         mid_to_pow = self.tower.ext.mid_to_pow
         return self._ops_l.rref([mid_to_pow[mid.mul(vec[piv], inv)] for vec in vecs])
 
-    # -- canonical representatives --------------------------------------------
-
-    def t_representative(self, k: int, coeffs: Sequence[int]) -> OrbitRepresentative:
-        """Realize the representative spanned by Y_1..Y_(k-1) and sum(u_i Y_i)."""
-        m, l, q = self.m, self.l, self.q
-        check_block_dim(m, l, k)
-        r = len(coeffs)
-        if not 1 <= r <= k - 1:
-            raise ValueError(f"need 1 <= r <= k-1 coefficients, got {r}")
-        mid_to_pow = self.tower.ext.mid_to_pow
-        key = self._ops_l.rref([1] + [mid_to_pow[u] for u in coeffs])
-        if len(key) != r + 1:
-            raise ValueError("1, u_1, ..., u_r must be independent over GF(q)")
-        tower = self.tower
-        rows = [tower.basis_vector(j) for j in range(k - 1)]
-        last = [0] * m
-        for i, u in enumerate(coeffs):
-            last[i] = u
-        rows.append(tower.flatten_packed(last))
-        sub = Subspace.span(q, self.v, rows)
-        assert sub.dim == k
-        cls = self.classify_rows(sub.rows)
-        assert cls.span_dim == k - 1, "representative not in the expected class"
-        orbit = self.singer.orbit_containing(key)
-        label = OrbitLabel(k, k - 1, r, orbit.rep.rows)
-        return OrbitRepresentative(k, r, orbit.u, tuple(coeffs), sub, label)
-
-    def representatives(self, k: int, r: int) -> list[OrbitRepresentative]:
-        """One representative per mixed-class orbit with the given r.
-
-        Built from the Singer orbits of (r+1)-subspaces of GF(q)^l, each
-        representative rescaled (least scalar) so that it contains 1.
-        """
-        if not 1 <= r <= k - 1:
-            raise ValueError("need 1 <= r <= k-1")
-        out = []
-        for orbit in self.singer.orbit_representatives(r + 1):
-            coeffs = self._coeffs_from_orbit(orbit)
-            rep = self.t_representative(k, coeffs)
-            assert rep.label.rep_rows == orbit.rep.rows
-            out.append(rep)
-        return out
-
-    def _coeffs_from_orbit(self, orbit) -> tuple[int, ...]:
-        mid = self.tower.mid
-        ext = self.tower.ext
-        sub = orbit.rep
-        if not sub.contains_vector(1):
-            scalars = sorted(mid.inv(ext.pow_to_mid[x])
-                             for x in sub.vectors() if x)
-            s = scalars[0]
-            rows = [ext.mid_to_pow[mid.mul(s, ext.pow_to_mid[r])] for r in sub.rows]
-            sub = Subspace.span(self.q, self.l, rows)
-            assert sub.contains_vector(1)
-        ops = self._ops_l
-        reduced = []
-        for row in sub.rows:
-            c = ops.digit(row, 0)
-            if c:
-                row = ops.sub_scaled(row, c, 1)
-            if row:
-                reduced.append(row)
-        rows = ops.rref(reduced)
-        assert len(rows) == sub.dim - 1
-        return tuple(ext.pow_to_mid[r] for r in rows)
-
     def line_rows(self, rows_l: Sequence[int], gen: Sequence[int]) -> list[int]:
         """Packed rows of W.g for W with basis rows_l in GF(q)^l = GF(q^l)."""
         tower = self.tower
@@ -297,18 +211,76 @@ class GlAtlas:
         return [tower.flatten_packed([mid.mul(pow_to_mid[row], g) for g in gen])
                 for row in rows_l]
 
-    def realize_line_block(self, W: Subspace) -> Subspace:
-        """The subspace W.Y_1 of GF(q)^(ml) for W a subspace of GF(q^l)."""
-        Y1 = (1,) + (0,) * (self.m - 1)
-        return Subspace.span(self.q, self.v, self.line_rows(W.rows, Y1))
+    # -- the orbit catalogue -----------------------------------------------------
 
-    def full_class_rep(self, k: int) -> Subspace:
-        if not 1 <= k <= self.m:
-            raise ValueError("the span_dim == dim class needs k <= m")
-        return Subspace.span(self.q, self.v,
-                             [self.tower.basis_vector(j) for j in range(k)])
+    def orbit_labels(self, k: int) -> tuple[OrbitLabel, ...]:
+        """The labeled k-orbits in incidence-column order.
 
-    # -- stabilizer orders and orbit sizes --------------------------------------
+        The span-1 orbits, then the mixed ones for r = 1..k-1, then the
+        span-k orbit when k <= m; each block in Singer-orbit order.  For
+        k = 2 these are the row orbits: the span-1 ones and the span-2 one.
+        """
+        if k != 2:
+            check_block_dim(self.m, self.l, k)
+        singer = self.singer
+        out = [OrbitLabel(k, 1, None, o.rep.rows)
+               for o in singer.orbit_representatives(k)]
+        if k > 2:  # at k = 2 the r = 1 class is the span-1 one
+            for r in range(1, k):
+                out.extend(OrbitLabel(k, k - 1, r, o.rep.rows)
+                           for o in singer.orbit_representatives(r + 1))
+        if k <= self.m:
+            out.append(OrbitLabel(k, k, None, None))
+        return tuple(out)
+
+    def label_u(self, label: OrbitLabel) -> int:
+        """The u with GF(q^u)^* the Singer stabilizer of the label's representative."""
+        return self.singer.orbit_containing(label.rep_rows).u
+
+    def realize(self, label: OrbitLabel) -> Subspace:
+        """A subspace of GF(q)^(ml) in the labeled orbit.
+
+        W.Y_1 for a span-1 label with representative W, Y_1..Y_k for the
+        span-k orbit, and for a mixed label Y_1..Y_(k-1) together with
+        sum(u_i Y_i), u_i the GF(q^l) element of representative row i >= 1.
+        Row 0 of a Singer representative is always 1: it is the least
+        canonical basis in its orbit, some member contains 1, and the
+        canonical basis of a subspace containing 1 starts with the row 1.
+        """
+        tower, k = self.tower, label.dim
+        if label.kind == "line":
+            rows = self.line_rows(label.rep_rows, (1,) + (0,) * (self.m - 1))
+        elif label.kind == "full":
+            rows = [tower.basis_vector(j) for j in range(k)]
+        else:
+            one, *coeffs = label.rep_rows
+            assert one == 1, "a canonical Singer representative starts with 1"
+            pow_to_mid = tower.ext.pow_to_mid
+            rows = [tower.basis_vector(j) for j in range(k - 1)]
+            rows.append(tower.flatten_packed(
+                [pow_to_mid[c] for c in coeffs] + [0] * (self.m - len(coeffs))))
+        return Subspace.span(self.q, self.v, rows)
+
+    def label_orbit_size(self, label: OrbitLabel) -> int:
+        """Number of subspaces in the labeled orbit, in closed form."""
+        q, Q, m, k = self.q, self.Q, self.m, label.dim
+        if label.kind == "mixed":
+            stab = self.stabilizer_order(k, label.r, self.label_u(label))
+            total = gl_order(m, Q)
+            assert total % stab == 0, "stabilizer order does not divide |GL|"
+            return total // stab
+        if label.kind == "line":
+            num, den = Q ** m - 1, q ** self.label_u(label) - 1
+        else:
+            # ordered bases of k independent vectors of GF(q^l)^m, per GL(k, q)
+            num = den = 1
+            for i in range(k):
+                num *= Q ** m - Q ** i
+                den *= q ** k - q ** i
+        assert num % den == 0
+        return num // den
+
+    # -- stabilizer orders ---------------------------------------------------------
 
     def _check_params(self, k: int, r: int, u: int) -> None:
         check_block_dim(self.m, self.l, k)
@@ -329,40 +301,6 @@ class GlAtlas:
         for i in range(k - 1, m):
             out *= Q ** m - Q ** i
         return out
-
-    def orbit_size(self, k: int, r: int, u: int) -> int:
-        total = gl_order(self.m, self.Q)
-        stab = self.stabilizer_order(k, r, u)
-        assert total % stab == 0, "stabilizer order does not divide |GL|"
-        return total // stab
-
-    def line_orbit_size(self, u: int) -> int:
-        """Orbit size of W.Y_1 where the Singer stabilizer of W is GF(q^u)^*."""
-        num = self.Q ** self.m - 1
-        den = self.q ** u - 1
-        assert num % den == 0
-        return num // den
-
-    def full_class_size(self, k: int) -> int:
-        """Size of the single orbit with span_dim == dim == k (needs k <= m)."""
-        if not 1 <= k <= self.m:
-            raise ValueError("the span_dim == dim class needs k <= m")
-        q, Q, m = self.q, self.Q, self.m
-        num = 1
-        den = 1
-        for i in range(k):
-            num *= Q ** m - Q ** i
-            den *= q ** k - q ** i
-        assert num % den == 0
-        return num // den
-
-    def label_orbit_size(self, label: OrbitLabel) -> int:
-        if label.kind == "full":
-            return self.full_class_size(label.dim)
-        orbit = self.singer.orbit_containing(label.rep_rows)
-        if label.kind == "line":
-            return self.line_orbit_size(orbit.u)
-        return self.orbit_size(label.dim, label.r, orbit.u)
 
     # -- the GL action itself ----------------------------------------------------
 

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .atlas import gl_atlas, gl_order
+from .atlas import check_block_dim, gl_atlas, gl_order
 from .incidence import brute_force_matrix, closed_form_matrix
 from .designs import (DesignInstance, GddSelection, block_count, build_gdd,
                       build_pbd, design_from_json_dict, design_to_json_dict,
@@ -143,27 +143,17 @@ def cmd_singer_orbits(args) -> int:
 def cmd_orbit_atlas(args) -> int:
     atlas = gl_atlas(args.m, args.l, args.q)
     k = args.k
+    check_block_dim(args.m, args.l, k)  # block orbits only, so not the rows at k = 2
+    total = gl_order(atlas.m, atlas.Q)
     labels = []
-    for orbit in atlas.singer.orbit_representatives(k):
+    for label in atlas.orbit_labels(k):
+        size = atlas.label_orbit_size(label)
+        full = label.kind == "full"
         labels.append({
-            "family": "line", "r": None, "u": orbit.u,
-            "rep": orbit.rep.basis_lists(),
-            "stabilizer_order": gl_order(atlas.m, atlas.Q) // atlas.line_orbit_size(orbit.u),
-            "orbit_size": atlas.line_orbit_size(orbit.u),
-        })
-    for r in range(1, k):
-        for rep in atlas.representatives(k, r):
-            labels.append({
-                "family": "mixed", "r": r, "u": rep.u,
-                "rep": Subspace(args.q, args.l, rep.label.rep_rows).basis_lists(),
-                "stabilizer_order": atlas.stabilizer_order(k, r, rep.u),
-                "orbit_size": atlas.orbit_size(k, r, rep.u),
-            })
-    if k <= args.m:
-        size = atlas.full_class_size(k)
-        labels.append({
-            "family": "full", "r": None, "u": None, "rep": None,
-            "stabilizer_order": gl_order(atlas.m, atlas.Q) // size,
+            "family": label.kind, "r": label.r,
+            "u": None if full else atlas.label_u(label),
+            "rep": None if full else Subspace(args.q, args.l, label.rep_rows).basis_lists(),
+            "stabilizer_order": total // size,
             "orbit_size": size,
         })
     body = {"m": args.m, "l": args.l, "k": k, "q": args.q, "labels": labels}
@@ -181,16 +171,15 @@ def cmd_orbit_atlas(args) -> int:
 def cmd_stabilizer(args) -> int:
     atlas = gl_atlas(args.m, args.l, args.q)
     order = atlas.stabilizer_order(args.k, args.r, args.u)
-    size = atlas.orbit_size(args.k, args.r, args.u)
     print(f"stabilizer_order={order}")
-    print(f"orbit_size={size}")
+    print(f"orbit_size={gl_order(atlas.m, atlas.Q) // order}")
     if args.brute_force:
-        reps = [rep for rep in atlas.representatives(args.k, args.r)
-                if rep.u == args.u]
-        if not reps:
+        labels = [lb for lb in atlas.orbit_labels(args.k)
+                  if lb.r == args.r and atlas.label_u(lb) == args.u]
+        if not labels:
             print("no orbit with the requested (r, u)", file=sys.stderr)
             return 2
-        brute = atlas.brute_force_stabilizer_order(reps[0].subspace)
+        brute = atlas.brute_force_stabilizer_order(atlas.realize(labels[0]))
         print(f"brute_force={brute}")
         if brute != order:
             print("MISMATCH between formula and brute force", file=sys.stderr)

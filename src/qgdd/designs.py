@@ -93,13 +93,10 @@ def block_count(design: DesignInstance) -> int:
     if isinstance(blocks, ExplicitBlocks):
         return sum(m for _, m in blocks.items)
     atlas = gl_atlas(blocks.m, blocks.l, design.q)
-    total = 0
-    for lw in blocks.labels:
-        total += lw.multiplicity * atlas.label_orbit_size(lw.label)
-    for lw in blocks.line_labels:
-        total += lw.multiplicity * atlas.label_orbit_size(lw.label)
+    total = sum(lw.multiplicity * atlas.label_orbit_size(lw.label)
+                for lw in blocks.labels + blocks.line_labels)
     if blocks.omega_kk:
-        total += atlas.full_class_size(blocks.k)
+        total += atlas.label_orbit_size(OrbitLabel(blocks.k, blocks.k, None, None))
     return total
 
 
@@ -237,7 +234,8 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
     for (r, u), w in selection.weights:
         if w == 0:
             continue
-        available = [rep for rep in atlas.representatives(k, r) if rep.u == u]
+        available = [lb for lb in atlas.orbit_labels(k)
+                     if lb.r == r and atlas.label_u(lb) == u]
         picks = range(w)
         if chosen and (r, u) in chosen:
             picks = chosen[(r, u)]
@@ -245,7 +243,7 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
                 raise ValueError(
                     f"chosen indices for ({r},{u}) must be {w} distinct values")
         for i in picks:
-            labels.append(LabelWeight(available[i].label, 1))
+            labels.append(LabelWeight(available[i], 1))
     blocks = ImplicitBlocks(m, l, k, tuple(labels), (), selection.omega_kk)
     return DesignInstance(
         q=q, v=m * l, kind="gdd", K=(k,),

@@ -371,17 +371,10 @@ class FieldTower:
         self.q = self.base.order
         self.Q = self.mid.order
         self.v = m * l
-        self._lmask = (1 << l) - 1 if self.q == 2 else None
 
     # -- the coordinate identification ---------------------------------------
 
     def flatten_packed(self, vec: Sequence[int]) -> int:
-        if self._lmask is not None:
-            table, l = self.ext.mid_to_pow, self.l
-            out = 0
-            for j, x in enumerate(vec):
-                out |= table[x] << (l * j)
-            return out
         shift = self.q ** self.l
         out = 0
         for x in reversed(vec):
@@ -389,9 +382,6 @@ class FieldTower:
         return out
 
     def unflatten_packed(self, row: int) -> tuple[int, ...]:
-        if self._lmask is not None:
-            table, l, mask = self.ext.pow_to_mid, self.l, self._lmask
-            return tuple(table[(row >> (l * j)) & mask] for j in range(self.m))
         shift = self.q ** self.l
         out = []
         for _ in range(self.m):

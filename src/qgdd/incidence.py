@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
 from .matrices import LabeledIntMatrix
@@ -21,10 +22,11 @@ from .subspaces import Subspace, gaussian_binomial, iter_superspace_bases
 class AkMatrix:
     """Incidence block matrix: rows index 2-subspace orbits, columns k-orbits.
 
-    Row order: the span-1 orbits sorted by (stabilizer, representative), then
-    the single span-2 orbit.  Column order: span-1 orbits of k-subspaces,
-    then the mixed blocks r = 1..k-1 (each sorted by (stabilizer,
-    representative)), then the span-k orbit when k <= m.
+    Rows are GlAtlas.orbit_labels(2): the span-1 orbits sorted by
+    (stabilizer, representative), then the single span-2 orbit.  Columns
+    are orbit_labels(k): span-1 orbits of k-subspaces, then the mixed blocks
+    r = 1..k-1 (each sorted by (stabilizer, representative)), then the
+    span-k orbit when k <= m.
     """
 
     m: int
@@ -101,69 +103,42 @@ def full_class_entry(m: int, l: int, k: int, q: int) -> int:
     return scale * _exact_div(num, den, "span-k column")
 
 
-def _row_and_col_labels(atlas: GlAtlas, k: int):
-    l, m = atlas.l, atlas.m
-    singer = atlas.singer
-    rows = [OrbitLabel(2, 1, None, o.rep.rows)
-            for o in singer.orbit_representatives(2)]
-    rows.append(OrbitLabel(2, 2, None, None))
-    cols: list[OrbitLabel] = []
-    blocks: list[tuple[str, int, int]] = []
+def _col_blocks(cols) -> tuple[tuple[str, int, int], ...]:
+    """(name, start, stop) of each run of columns: line, r=1..k-1, full."""
+    blocks = []
     start = 0
-    line = [OrbitLabel(k, 1, None, o.rep.rows)
-            for o in singer.orbit_representatives(k)]
-    cols.extend(line)
-    blocks.append(("line", start, len(cols)))
-    for r in range(1, k):
-        start = len(cols)
-        cols.extend(OrbitLabel(k, k - 1, r, o.rep.rows)
-                    for o in singer.orbit_representatives(r + 1))
-        blocks.append((f"r={r}", start, len(cols)))
-    if k <= m:
-        start = len(cols)
-        cols.append(OrbitLabel(k, k, None, None))
-        blocks.append(("full", start, len(cols)))
-    return tuple(rows), tuple(cols), tuple(blocks)
+    for name, run in groupby(cols, lambda lb: f"r={lb.r}" if lb.r else lb.kind):
+        stop = start + len(list(run))
+        blocks.append((name, start, stop))
+        start = stop
+    return tuple(blocks)
 
 
 def closed_form_matrix(m: int, l: int, k: int, q: int) -> AkMatrix:
     """Assemble the incidence block matrix from the closed-form entries."""
     check_block_dim(m, l, k)
     atlas = gl_atlas(m, l, q)
-    rows, cols, blocks = _row_and_col_labels(atlas, k)
-    singer = atlas.singer
-    two_orbits = singer.orbit_representatives(2)
-    n2 = len(two_orbits)
-    htilde = h_incidence_matrix(l, 2, k, q)
+    rows, cols = atlas.orbit_labels(2), atlas.orbit_labels(k)
+    htilde = h_incidence_matrix(l, 2, k, q).entries
     e = diagonal_entry(m, l, k, q)
-    entries: list[tuple[int, ...]] = []
-    n_line = len(singer.orbit_representatives(k))
-    for i in range(n2):
-        row = list(htilde.entries[i])
-        row.extend(e if j == i else 0 for j in range(n2))  # r=1 block
-        for r in range(2, k):
-            row.extend([0] * len(singer.orbit_representatives(r + 1)))
-        if k <= m:
-            row.append(0)
-        entries.append(tuple(row))
-    last = [0] * n_line
-    last.extend(span1_row_entry(m, l, k, q, o.u) for o in two_orbits)
-    for r in range(2, k):
-        last.extend(mixed_row_entry(m, l, k, q, r, o.u)
-                    for o in singer.orbit_representatives(r + 1))
-    if k <= m:
-        last.append(full_class_entry(m, l, k, q))
-    entries.append(tuple(last))
-    return AkMatrix(m, l, k, q, rows, cols, blocks, tuple(entries))
 
+    def span2_entry(col: OrbitLabel) -> int:
+        if col.kind == "line":
+            return 0
+        if col.kind == "full":
+            return full_class_entry(m, l, k, q)
+        u = atlas.label_u(col)
+        if col.r == 1:
+            return span1_row_entry(m, l, k, q, u)
+        return mixed_row_entry(m, l, k, q, col.r, u)
 
-def realize_2row(atlas: GlAtlas, label: OrbitLabel) -> Subspace:
-    """A concrete 2-subspace of GF(q)^(ml) carrying the given row label."""
-    if label.dim != 2:
-        raise ValueError("row labels are labels of 2-subspaces")
-    if label.kind == "line":
-        return atlas.realize_line_block(Subspace(atlas.q, atlas.l, label.rep_rows))
-    return atlas.full_class_rep(2)
+    # a span-1 row W.x meets the line columns as in H~ and only its own r=1 column
+    entries = [tuple(htilde[i][j] if col.kind == "line"
+                     else e if col.r == 1 and col.rep_rows == row.rep_rows else 0
+                     for j, col in enumerate(cols))
+               for i, row in enumerate(rows[:-1])]
+    entries.append(tuple(span2_entry(col) for col in cols))
+    return AkMatrix(m, l, k, q, rows, cols, _col_blocks(cols), tuple(entries))
 
 
 def row_coverage(atlas: GlAtlas, realized: Subspace, k: int) -> Counter:
@@ -177,23 +152,18 @@ def brute_force_matrix(m: int, l: int, k: int, q: int,
     """The same block matrix computed by streaming superspaces of each row."""
     check_block_dim(m, l, k)
     atlas = gl_atlas(m, l, q)
-    rows, cols, blocks = _row_and_col_labels(atlas, k)
+    rows, cols = atlas.orbit_labels(2), atlas.orbit_labels(k)
     col_index = {lb.key(): j for j, lb in enumerate(cols)}
+    picked = set(range(len(rows)) if row_subset is None else row_subset)
     entries = []
-    picked = range(len(rows)) if row_subset is None else row_subset
-    picked_set = set(picked)
     for i, row_label in enumerate(rows):
-        if i not in picked_set:
-            entries.append(tuple([0] * len(cols)))
-            continue
-        counts = row_coverage(atlas, realize_2row(atlas, row_label), k)
         row = [0] * len(cols)
-        for key, n in counts.items():
-            if key[0] == "other":
-                continue
-            row[col_index[key]] = n
+        if i in picked:
+            for key, n in row_coverage(atlas, atlas.realize(row_label), k).items():
+                if key[0] != "other":
+                    row[col_index[key]] = n
         entries.append(tuple(row))
-    return AkMatrix(m, l, k, q, rows, cols, blocks, tuple(entries))
+    return AkMatrix(m, l, k, q, rows, cols, _col_blocks(cols), tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -38,17 +38,12 @@ def divisors(n: int) -> list[int]:
 
 
 def n_orbits(d: int, v: int, q: int) -> int:
-    """Number of Singer-cycle orbits on d-subspaces of GF(q)^v."""
-    if not 0 <= d <= v:
-        raise ValueError("need 0 <= d <= v")
-    g = math.gcd(d, v) if d else v
-    total = 0
-    for t in divisors(g):
-        inner = sum(moebius(t // u) * (q ** u - 1) for u in divisors(t))
-        total += gaussian_binomial(v // t, d // t, q ** t) * inner
-    denom = q ** v - 1
-    assert total % denom == 0, "orbit-count sum not divisible by q^v - 1"
-    return total // denom
+    """Number of Singer-cycle orbits on d-subspaces of GF(q)^v.
+
+    Every stabilizer is GF(q^u)^* for some u dividing gcd(d, v).
+    """
+    return sum(n_orbits_with_stabilizer(d, u, v, q)
+               for u in divisors(math.gcd(d, v)))
 
 
 def n_orbits_with_stabilizer(d: int, u: int, v: int, q: int) -> int:
@@ -57,7 +52,7 @@ def n_orbits_with_stabilizer(d: int, u: int, v: int, q: int) -> int:
         raise ValueError("need 0 <= d <= v")
     if u < 1:
         raise ValueError(f"u={u} must be a positive integer")
-    g = math.gcd(d, v) if d else v
+    g = math.gcd(d, v)
     if g % u:
         raise ValueError(f"u={u} does not divide gcd(d, v)={g}")
     total = 0

@@ -173,20 +173,9 @@ class Subspace:
     def basis_lists(self) -> list[list[int]]:
         return [list(unpack_coords(r, self.q, self.v)) for r in self.rows]
 
-    def contains_vector(self, x: int) -> bool:
-        ops = vector_ops(self.q, self.v)
-        for b in self.rows:
-            c = ops.digit(x, ops.pivot(b))
-            if c:
-                x = ops.sub_scaled(x, c, b)
-        return x == 0
-
     def vectors(self) -> list[int]:
         """All q^dim vectors of the subspace, indexed by packed coefficients."""
         return vector_ops(self.q, self.v).span(self.rows)
-
-    def sort_key(self) -> tuple:
-        return (self.dim, self.rows)
 
     def __repr__(self) -> str:
         return f"Subspace(q={self.q}, v={self.v}, rows={self.rows})"

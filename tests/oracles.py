@@ -3,8 +3,8 @@
 Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
 orders, addition one coordinate and one digit at a time, GF(q)-combinations
-one coefficient at a time, and Singer incidence by cycling an orbit and
-testing containment.
+one coefficient at a time, containment by rank, and Singer incidence by
+cycling an orbit and testing containment.
 """
 
 from __future__ import annotations
@@ -86,6 +86,13 @@ def add_per_coordinate(a: int, b: int, q: int, v: int, s: int = 1) -> int:
     return pack_coords(coords, q)
 
 
+# -- containment ------------------------------------------------------------------
+
+def contains_vector(W: Subspace, x: int) -> bool:
+    """Whether x lies in W: adding it to a basis leaves the rank at dim W."""
+    return vector_ops(W.q, W.v).rank(list(W.rows) + [x]) == W.dim
+
+
 # -- GF(q)-combinations -----------------------------------------------------------
 
 def combine(coeff_row: int, rows: Sequence[int], ops) -> int:
@@ -132,7 +139,7 @@ def fill_holes_blocks(gdd_blocks, groups, master_blocks, hole: Subspace,
         out[key] = out.get(key, 0) + mult
 
     inside = [(rows, mult) for rows, mult in master_blocks
-              if all(hole.contains_vector(r) for r in rows)]
+              if all(contains_vector(hole, r) for r in rows)]
     outside = [item for item in master_blocks if item not in inside]
     for rows, mult in gdd_blocks:
         add(rows, mult)
@@ -153,6 +160,6 @@ def containment_count(action, rows: tuple[int, ...], orbit_rows: tuple[int, ...]
     count = 0
     for member in action.cycle(orbit_rows):
         K = Subspace(action.q, action.l, member)
-        if all(K.contains_vector(r) for r in rows):
+        if all(contains_vector(K, r) for r in rows):
             count += 1
     return count

@@ -79,12 +79,12 @@ def test_criterion_02_orbit_atlas_exhaustive():
         assert not any(key[0] == "full" for key in sizes)  # span-3 class empty
         # orbit sizes match |GL(2,8)| / stabilizer order, and brute-force
         # stabilizer counts over all 3528 elements match the closed form
-        for rep in at.representatives(3, 1) + at.representatives(3, 2):
-            stab = at.stabilizer_order(3, rep.r, rep.u)
-            assert sizes[rep.label.key()] == gl_order(2, 8) // stab
-            assert at.brute_force_stabilizer_order(rep.subspace) == stab
-        assert {at.stabilizer_order(3, r.r, r.u)
-                for r in at.representatives(3, 1) + at.representatives(3, 2)} == {4, 7}
+        mixed = [lb for lb in at.orbit_labels(3) if lb.kind == "mixed"]
+        for label in mixed:
+            stab = at.stabilizer_order(3, label.r, at.label_u(label))
+            assert sizes[label.key()] == gl_order(2, 8) // stab == at.label_orbit_size(label)
+            assert at.brute_force_stabilizer_order(at.realize(label)) == stab
+        assert {at.stabilizer_order(3, lb.r, at.label_u(lb)) for lb in mixed} == {4, 7}
 
 
 @pytest.mark.parametrize("params", [(2, 3, 3, 2), (3, 3, 3, 2), (2, 4, 3, 2),

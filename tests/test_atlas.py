@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgdd.atlas import GlAtlas, SpanClass, gl_atlas, gl_order
+from qgdd.atlas import OrbitLabel, SpanClass, gl_atlas, gl_order
 from qgdd.fields import FieldTower
-from qgdd.incidence import _row_and_col_labels, realize_2row
 from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
                             iter_superspace_bases, vector_ops)
 
@@ -44,42 +43,54 @@ def test_classify_examples(at23):
     assert at33.classify_rows(full.rows) == SpanClass(3, 3)
 
 
-def test_t_representative_examples(at23):
-    w = at23.tower.ext.w
-    w2 = at23.tower.mid.mul(w, w)
-    rep1 = at23.t_representative(3, (w,))
-    assert rep1.r == 1 and at23.classify_rows(rep1.subspace.rows) == SpanClass(3, 2)
-    rep2 = at23.t_representative(3, (w, w2))
-    assert rep2.r == 2 and at23.classify_rows(rep2.subspace.rows) == SpanClass(3, 2)
+def _mixed(at, k, r=None):
+    return [lb for lb in at.orbit_labels(k)
+            if lb.kind == "mixed" and r in (None, lb.r)]
+
+
+def test_realize_examples(at23):
+    # Y_1, Y_2 and sum(u_i Y_i), where 1, u_1, ... are the Singer representative's rows
+    t = at23.tower
+    w = t.ext.w
+    w2 = t.mid.mul(w, w)
+    line, r1, r2 = at23.orbit_labels(3)
+    assert (line.kind, r1.r, r2.r) == ("line", 1, 2)
+    assert (r1.rep_rows, r2.rep_rows) == ((1, 2), (1, 2, 4))  # 1, w (, w^2)
+    Y = [t.basis_vector(0), t.basis_vector(1)]
+    assert at23.realize(r1) == Subspace.span(2, 6, Y + [t.flatten_packed((w, 0))])
+    assert at23.realize(r2) == Subspace.span(2, 6, Y + [t.flatten_packed((w, w2))])
+    assert at23.classify_rows(at23.realize(r2).rows) == SpanClass(3, 2)
+    assert at23.realize(line) == Subspace.span(
+        2, 6, [t.flatten_packed((c, 0)) for c in (1, w, w2)])
     with pytest.raises(ValueError):
-        at23.t_representative(3, (1,))  # 1, 1 dependent over GF(2)
-    with pytest.raises(ValueError):
-        at23.t_representative(5, (w,))  # k out of range
+        at23.orbit_labels(5)  # k out of range
 
 
 def test_orbit_label_full_class():
     at33 = gl_atlas(3, 3, 2)
-    W = at33.full_class_rep(3)
-    assert at33.label_key_rows(W.rows) == ("full", 3)
+    full = at33.orbit_labels(3)[-1]
+    assert full.kind == "full"
+    W = at33.realize(full)
+    assert W.dim == 3 and at33.label_key_rows(W.rows) == ("full", 3)
 
 
 def test_orbit_label_line_class(at23):
     # W'.Y_1 gets the Singer-orbit label of W'
     action = at23.singer
     orbit = action.orbit_representatives(2)[0]
-    realized = at23.realize_line_block(orbit.rep)
+    realized = at23.realize(OrbitLabel(2, 1, None, orbit.rep.rows))
     assert at23.label_key_rows(realized.rows) == ("line", 2, orbit.rep.rows)
 
 
 def test_orbit_label_invariance_under_group(at23):
     rng = Random(7)
-    w = at23.tower.ext.w
-    rep = at23.t_representative(3, (w,))
-    base = at23.label_key_rows(rep.subspace.rows)
-    assert base == rep.label.key()
+    label, = _mixed(at23, 3, r=1)
+    rep = at23.realize(label)
+    base = at23.label_key_rows(rep.rows)
+    assert base == label.key()
     for _ in range(100):
         g = random_gl(at23, rng)
-        assert at23.label_key_rows(apply_matrix(at23, g, rep.subspace).rows) == base
+        assert at23.label_key_rows(apply_matrix(at23, g, rep).rows) == base
 
 
 def test_orbit_label_rejects_unclassified():
@@ -106,17 +117,20 @@ def test_stabilizer_order_formula(at23):
 
 def test_stabilizer_brute_force_all_reps(at23):
     # every representative's stabilizer counted over all 3528 group elements
-    for r in (1, 2):
-        for rep in at23.representatives(3, r):
-            brute = at23.brute_force_stabilizer_order(rep.subspace)
-            assert brute == at23.stabilizer_order(3, r, rep.u)
+    labels = _mixed(at23, 3)
+    assert [lb.r for lb in labels] == [1, 2]
+    for label in labels:
+        brute = at23.brute_force_stabilizer_order(at23.realize(label))
+        assert brute == at23.stabilizer_order(3, label.r, at23.label_u(label))
 
 
 def test_orbit_sizes(at23):
-    assert at23.orbit_size(3, 2, 3) == 504
-    assert at23.orbit_size(3, 1, 1) == 882
+    r1, r2 = _mixed(at23, 3)
+    assert (at23.label_u(r1), at23.label_u(r2)) == (1, 3)
+    assert at23.label_orbit_size(r2) == 504
+    assert at23.label_orbit_size(r1) == 882
     at33 = gl_atlas(3, 3, 2)
-    assert at33.full_class_size(3) == gl_order(3, 8) // 168
+    assert at33.label_orbit_size(at33.orbit_labels(3)[-1]) == gl_order(3, 8) // 168
 
 
 def test_orbit_size_by_exhaustive_generation(at23):
@@ -124,12 +138,9 @@ def test_orbit_size_by_exhaustive_generation(at23):
     sizes = Counter()
     for rows in iter_rref_bases(6, 3, 2):
         sizes[at23.label_key_rows(rows)] += 1
-    w = at23.tower.ext.w
-    w2 = at23.tower.mid.mul(w, w)
-    rep1 = at23.t_representative(3, (w,))
-    rep2 = at23.t_representative(3, (w, w2))
-    assert sizes[rep1.label.key()] == 882
-    assert sizes[rep2.label.key()] == 504
+    r1, r2 = _mixed(at23, 3)
+    assert sizes[r1.key()] == 882
+    assert sizes[r2.key()] == 504
     line_total = sum(n for key, n in sizes.items() if key[0] == "line")
     assert line_total == 9
     assert sum(sizes.values()) == 1395
@@ -146,25 +157,28 @@ def test_partition_identity(at23):
 
 def test_representatives_counts(at23):
     from qgdd.singer import n_orbits
-    assert len(at23.representatives(3, 2)) == n_orbits(3, 3, 2) == 1
-    assert len(at23.representatives(3, 1)) == n_orbits(2, 3, 2) == 1
+    assert len(_mixed(at23, 3, r=2)) == n_orbits(3, 3, 2) == 1
+    assert len(_mixed(at23, 3, r=1)) == n_orbits(2, 3, 2) == 1
     at27 = gl_atlas(2, 7, 2)
-    reps = at27.representatives(3, 2)
-    assert len(reps) == n_orbits(3, 7, 2) == 93
-    assert len({r.label for r in reps}) == 93
+    labels = _mixed(at27, 3, r=2)
+    assert len(labels) == n_orbits(3, 7, 2) == 93
+    assert len(set(labels)) == 93
 
 
-def test_representatives_contain_one(at23):
+def test_representatives_contain_one():
+    # realize reads u_1, u_2 off rows 1, 2 of a representative whose row 0 is 1
     at27 = gl_atlas(2, 7, 2)
-    for rep in at27.representatives(3, 2)[:10]:
-        rows_l = [1] + [at27.tower.ext.mid_to_pow[u] for u in rep.coeffs]
-        assert vector_ops(2, 7).rank(rows_l) == 3
+    for label in _mixed(at27, 3):
+        assert label.rep_rows[0] == 1
+        assert vector_ops(2, 7).rank(label.rep_rows) == label.r + 1
 
 
 def test_line_orbit_size(at23):
     # (Q^m - 1)/(q^u - 1): 63/7 = 9 line blocks of the whole middle field
-    assert at23.line_orbit_size(3) == 9
-    assert at23.line_orbit_size(1) == 63
+    line3, line2 = at23.orbit_labels(3)[0], at23.orbit_labels(2)[0]
+    assert (at23.label_u(line3), at23.label_u(line2)) == (3, 1)
+    assert at23.label_orbit_size(line3) == 9
+    assert at23.label_orbit_size(line2) == 63
 
 
 def test_column_independence_criterion(at23):
@@ -211,10 +225,8 @@ def test_line_form_inverts_line_rows():
 
 
 def test_label_serialization_roundtrip(at23):
-    w = at23.tower.ext.w
-    rep = at23.t_representative(3, (w,))
-    label = rep.label
-    assert at23.label_key_rows(rep.subspace.rows) == label.key()
+    label, = _mixed(at23, 3, r=1)
+    assert at23.label_key_rows(at23.realize(label).rows) == label.key()
     assert label.key() == ("mixed", 3, 1, label.rep_rows)
     assert "mixed" in label.label_str()
 
@@ -239,7 +251,9 @@ def test_span_class_partition_m3():
     mixed_r1 = gl_order(3, 8) // at.stabilizer_order(3, 1, 1)
     mixed_r2 = gl_order(3, 8) // at.stabilizer_order(3, 2, 3)
     assert (lines, mixed_r1, mixed_r2) == (73, 64386, 36792)
-    assert lines + mixed_r1 + mixed_r2 + at.full_class_size(3) == 788035
+    full = at.orbit_labels(3)[-1]
+    assert lines + mixed_r1 + mixed_r2 + at.label_orbit_size(full) == 788035
+    assert sum(map(at.label_orbit_size, at.orbit_labels(3))) == 788035
 
 
 def _oracle_stream(at, bases):
@@ -247,8 +261,8 @@ def _oracle_stream(at, bases):
 
 
 def _superspace_streams(at, k):
-    rows, _, _ = _row_and_col_labels(at, k)
-    return [list(iter_superspace_bases(realize_2row(at, lb), k)) for lb in rows]
+    return [list(iter_superspace_bases(at.realize(lb), k))
+            for lb in at.orbit_labels(2)]
 
 
 def test_label_keys_match_oracle_on_sweep(at23):
@@ -322,8 +336,7 @@ def test_label_keys_prefix_sharing_reaches_every_class():
 def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
     # a lost prefix reuse would reduce all 3 rows of each of the 127 bases
     at = gl_atlas(3, 3, 2)
-    rows, _, _ = _row_and_col_labels(at, 3)
-    bases = list(iter_superspace_bases(realize_2row(at, rows[-1]), 3))
+    bases = list(iter_superspace_bases(at.realize(at.orbit_labels(2)[-1]), 3))
     assert len(bases) == 127
     prefixes = {b[:i] for b in bases for i in range(1, len(b))}
     calls, reductions = [], []
@@ -343,3 +356,26 @@ def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
     assert sum(1 for _ in at.label_keys(iter(bases + bases))) == 2 * len(bases)
     assert len(reductions) <= 2 * len(bases) + len(prefixes) + 2
     assert sorted(calls) == sorted({r for b in bases for r in b})
+
+
+SWEEP_LIMIT = 100_000  # sweep a dimension only when it has at most this many subspaces
+
+
+@pytest.mark.parametrize("m,l,k,q", [(2, 3, 3, 2), (2, 4, 3, 2), (3, 4, 4, 2),
+                                     (2, 3, 3, 3), (2, 3, 3, 4), (2, 7, 3, 2)])
+def test_orbit_labels_realize_and_size(m, l, k, q):
+    # each label realizes into its own orbit; sizes match exhaustive counts
+    at = gl_atlas(m, l, q)
+    v = m * l
+    for d in (k, 2):
+        labels = at.orbit_labels(d)
+        assert len(set(labels)) == len(labels)
+        for label in labels:
+            W = at.realize(label)
+            assert W.dim == d and at.label_key_rows(W.rows) == label.key()
+        sizes = {lb.key(): at.label_orbit_size(lb) for lb in labels}
+        if gaussian_binomial(v, d, q) <= SWEEP_LIMIT:
+            counts = Counter(key for _, key in at.label_keys(iter_rref_bases(v, d, q)))
+            assert {key: counts[key] for key in sizes} == sizes
+            assert set(counts) - set(sizes) <= {("other", d, s) for s in range(2, d - 1)}
+    assert sum(map(at.label_orbit_size, at.orbit_labels(2))) == gaussian_binomial(v, 2, q)

@@ -64,6 +64,15 @@ def test_orbit_atlas(capsys):
     assert sizes == [9, 504, 882]
 
 
+@pytest.mark.parametrize("k", [-1, 0, 1, 2, 4])
+def test_orbit_atlas_k_outside_block_range_exit_2(capsys, k):
+    # k = 1 once listed the 63 points twice, as a line and as a full orbit
+    code, out, err = run_cli(
+        ["orbit-atlas", "--m", "2", "--l", "3", "--k", str(k), "--q", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: k={k} outside 3..min(m+1, l)\n"
+
+
 def test_stabilizer_with_brute_force(capsys):
     code, out, _ = run_cli(
         ["stabilizer", "--m", "2", "--l", "3", "--k", "3", "--q", "2",

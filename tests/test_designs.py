@@ -16,6 +16,8 @@ from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
 from qgdd.subspaces import (Subspace, gaussian_binomial, intersection_dim,
                             iter_rref_bases)
 
+from oracles import contains_vector
+
 
 def complete_design(v, k, q, mult=1):
     lam = gaussian_binomial(v - 2, k - 2, q) * mult
@@ -664,7 +666,7 @@ def test_sampled_generic_path_k4_matches_closed_form():
     g = build_gdd(3, 4, 4, 2, GddSelection.of({(2, 1): 1}))
     cov = _ImplicitCoverage(g)
     at = cov.atlas
-    rep = at.full_class_rep(2)
+    rep = at.realize(at.orbit_labels(2)[-1])
     A = closed_form_matrix(3, 4, 4, 2)
     label = g.blocks.labels[0].label
     col = A.col_labels.index(label)
@@ -677,9 +679,9 @@ def _weighted_k3_design(m, l, q, omega_kk):
     """Mixed 3-orbit labels of both r with multiplicities 1, 2, (absent), 3, ..."""
     from qgdd.atlas import gl_atlas
     atlas = gl_atlas(m, l, q)
-    reps = atlas.representatives(3, 1) + atlas.representatives(3, 2)
-    labels = tuple(LabelWeight(rep.label, [1, 2, 0, 3][i % 4])
-                   for i, rep in enumerate(reps) if i % 4 != 2)
+    mixed = [lb for lb in atlas.orbit_labels(3) if lb.kind == "mixed"]
+    labels = tuple(LabelWeight(lb, [1, 2, 0, 3][i % 4])
+                   for i, lb in enumerate(mixed) if i % 4 != 2)
     assert len({lw.multiplicity for lw in labels}) >= 2
     return DesignInstance(q=q, v=m * l, kind="design", K=(3,), claimed_lambda=None,
                           blocks=ImplicitBlocks(m, l, 3, labels, (), omega_kk))
@@ -718,7 +720,7 @@ def _fresh_coverage(design, rows):
                                                 omega_kk=False))
     for block_rows, mult in expand_blocks(lines_only):
         block = Subspace(design.q, design.v, block_rows)
-        if all(block.contains_vector(r) for r in rows):
+        if all(contains_vector(block, r) for r in rows):
             total += mult
     return total
 
@@ -780,8 +782,7 @@ def test_span1_coverage_k4_is_the_r1_diagonal():
     from qgdd.designs import _ImplicitCoverage
     from qgdd.subspaces import vector_ops
     atlas = gl_atlas(3, 4, 2)
-    r1 = atlas.representatives(4, 1)[0].label
-    r2 = atlas.representatives(4, 2)[0].label
+    r1, r2 = (next(lb for lb in atlas.orbit_labels(4) if lb.r == r) for r in (1, 2))
     blocks = ImplicitBlocks(3, 4, 4, (LabelWeight(r1, 2), LabelWeight(r2, 1)),
                             (), False)
     design = DesignInstance(q=2, v=12, kind="design", K=(4,),
@@ -856,7 +857,7 @@ def _oracle_sampled_report(design, sample, seed):
         got = 0
         for block_rows, mult in design.blocks.items:
             block = Subspace(q, v, block_rows)
-            if all(block.contains_vector(r) for r in rows):
+            if all(contains_vector(block, r) for r in rows):
                 got += mult
         tally.record(rows, got)
     return tally.report("sampled", block_count(design), sample=(sample, seed))

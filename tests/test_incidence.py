@@ -6,9 +6,8 @@ import pytest
 from qgdd.atlas import OrbitLabel, gl_atlas
 from qgdd.incidence import (brute_force_matrix, closed_form_matrix,
                             diagonal_entry, full_class_entry, mixed_row_entry,
-                            realize_2row, row_coverage, span1_row_entry,
-                            verify_closed_form)
-from qgdd.subspaces import Subspace, gaussian_binomial
+                            row_coverage, span1_row_entry, verify_closed_form)
+from qgdd.subspaces import gaussian_binomial
 
 from oracles import apply_matrix, combine, random_gl
 
@@ -57,7 +56,7 @@ def test_incidence_entry_zero_blocks():
     line_label = OrbitLabel(2, 1, None,
                             at.singer.orbit_representatives(2)[0].rep.rows)
     full_label = OrbitLabel(3, 3, None, None)
-    assert row_coverage(at, realize_2row(at, line_label), 3)[full_label.key()] == 0
+    assert row_coverage(at, at.realize(line_label), 3)[full_label.key()] == 0
 
 
 def test_incidence_entry_diagonal_and_mixed():
@@ -65,14 +64,12 @@ def test_incidence_entry_diagonal_and_mixed():
     two_orbit = at.singer.orbit_representatives(2)[0]
     line_label = OrbitLabel(2, 1, None, two_orbit.rep.rows)
     r1_label = OrbitLabel(3, 2, 1, two_orbit.rep.rows)
-    assert row_coverage(at, realize_2row(at, line_label), 3)[r1_label.key()] == 14
+    assert row_coverage(at, at.realize(line_label), 3)[r1_label.key()] == 14
     full2 = OrbitLabel(2, 2, None, None)
     three_orbit = at.singer.orbit_representatives(3)[0]
     r2_label = OrbitLabel(3, 2, 2, three_orbit.rep.rows)
-    assert row_coverage(at, realize_2row(at, full2), 3)[r2_label.key()] == 6
-    # brute count over the 15 superspaces directly
-    realized = at.full_class_rep(2)
-    cov = row_coverage(at, realized, 3)
+    # brute count over the 15 superspaces of the span-2 row
+    cov = row_coverage(at, at.realize(full2), 3)
     assert sum(cov.values()) == gaussian_binomial(4, 1, 2) == 15
     assert cov[r2_label.key()] == 6
 
@@ -97,12 +94,12 @@ def test_zero_block_laws_exhaustive():
     for (m, l) in ((2, 3), (3, 3)):
         at = gl_atlas(m, l, 2)
         two_orbit = at.singer.orbit_representatives(2)[0]
-        span1 = realize_2row(at, OrbitLabel(2, 1, None, two_orbit.rep.rows))
+        span1 = at.realize(OrbitLabel(2, 1, None, two_orbit.rep.rows))
         cov1 = row_coverage(at, span1, 3)
         for key in cov1:
             assert not (key[0] == "mixed" and key[2] >= 2)
             assert key[0] != "full"
-        span2 = realize_2row(at, OrbitLabel(2, 2, None, None))
+        span2 = at.realize(OrbitLabel(2, 2, None, None))
         cov2 = row_coverage(at, span2, 3)
         assert all(key[0] != "line" for key in cov2)
 
@@ -112,7 +109,7 @@ def test_diagonality_of_r1_block():
     for (m, l) in ((2, 3), (2, 4)):
         at = gl_atlas(m, l, 2)
         for orbit in at.singer.orbit_representatives(2):
-            realized = realize_2row(at, OrbitLabel(2, 1, None, orbit.rep.rows))
+            realized = at.realize(OrbitLabel(2, 1, None, orbit.rep.rows))
             cov = row_coverage(at, realized, 3)
             for key in cov:
                 if key[0] == "mixed" and key[2] == 1:
@@ -126,14 +123,14 @@ def test_double_counting_identity():
     at = gl_atlas(m, l, q)
     A = closed_form_matrix(m, l, k, q)
     span2_pairs = 588  # 651 - 63 in-line pairs
-    w = at.tower.ext.w
-    w2 = at.tower.mid.mul(w, w)
-    for rep in (at.t_representative(3, (w,)), at.t_representative(3, (w, w2))):
-        size = at.orbit_size(3, rep.r, rep.u)
+    mixed = [lb for lb in at.orbit_labels(3) if lb.kind == "mixed"]
+    assert [lb.r for lb in mixed] == [1, 2]
+    for label in mixed:
+        size = at.label_orbit_size(label)
         pairs_inside = sum(
-            1 for rows in _pairs_of(rep.subspace)
+            1 for rows in _pairs_of(at.realize(label))
             if at.classify_rows(rows).span_dim == 2)
-        col = A.col_labels.index(rep.label)
+        col = A.col_labels.index(label)
         entry = A.entries[-1][col]
         assert size * pairs_inside == span2_pairs * entry
 
@@ -151,7 +148,7 @@ def test_entry_independent_of_realization():
     m, l, q = 2, 3, 2
     at = gl_atlas(m, l, q)
     rng = Random(31)
-    base = realize_2row(at, OrbitLabel(2, 2, None, None))
+    base = at.realize(OrbitLabel(2, 2, None, None))
     cov0 = row_coverage(at, base, 3)
     for _ in range(5):
         g = random_gl(at, rng)

@@ -12,6 +12,8 @@ from qgdd.subspaces import (Subspace, canonicalize, complement_positions,
                             iter_superspace_bases, lift_row, superspaces,
                             vector_ops)
 
+from oracles import contains_vector
+
 
 def brute_count_subspaces(v, d, q):
     """Independent oracle: count d-subspaces by collecting row spans."""
@@ -126,7 +128,7 @@ def test_superspaces_count_and_filter():
     assert len(sup) == gaussian_binomial(4, 1, 2) == 15
     assert len(set(sup)) == 15
     by_filter = [s for s in enumerate_subspaces(6, 3, 2)
-                 if all(s.contains_vector(r) for r in U.rows)]
+                 if all(contains_vector(s, r) for r in U.rows)]
     assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
 
 
@@ -143,7 +145,7 @@ def test_superspaces_order_and_coverage(q):
     sup = list(superspaces(U, 3))
     assert len(sup) == len(set(sup)) == gaussian_binomial(3, 1, q)
     by_filter = [s for s in enumerate_subspaces(5, 3, q)
-                 if all(s.contains_vector(r) for r in U.rows)]
+                 if all(contains_vector(s, r) for r in U.rows)]
     assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
     # at k = 4 quotient rows repeat across bases, so the memo is reused
     per_row_4 = [U.rows + tuple(lift_row(r, positions, q) for r in rows)
@@ -180,8 +182,11 @@ def test_contains_vector_gf3():
         x = 0
         for c, row in zip(coeffs, s.rows):
             x = ops.add(x, ops.smul(c, row))
-        assert s.contains_vector(x)
+        assert contains_vector(s, x)
     assert s.dim == 2
+    outside = set(range(27)) - set(s.vectors())
+    assert len(outside) == 18
+    assert not any(contains_vector(s, x) for x in outside)
 
 
 def test_vectors_iteration():
