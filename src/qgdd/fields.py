@@ -4,13 +4,17 @@ Field elements are ints in [0, p^e) encoding coefficient vectors over GF(p),
 constant coefficient in the least significant base-p digit.  Multiplication
 goes through log/antilog tables, so fields above 2^20 elements are rejected.
 GF(q^l) row reduction (`FieldTower.mid_reduce`) reads per-scalar multiplication
-rows, plus an addition table at odd p, up to q^l = 256; above, `FiniteField`.
+rows, plus an addition table at odd p, up to q^l = TABLE_CAP = 256; above,
+`FiniteField`.
 
 Vectors over GF(q) of length v are packed into a single int with base-q
 digits, coordinate 0 in the least significant digit.  For q = p^e a packed
 vector is therefore one base-p digit string, and adding vectors is the same
 digit-by-digit addition over GF(p) as adding field elements (`add_digits`);
-for characteristic 2 it is plain integer XOR.
+for characteristic 2 it is plain integer XOR.  `digit_add_table` tabulates
+that addition for values below a power of p; it serves both the GF(q^l)
+elimination tables and the chunk tables of `subspaces.VectorOps`, which
+share the cap TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 _TABLE_LIMIT = 1 << 20
-_ELIMINATION_TABLE_LIMIT = 256
+TABLE_CAP = 256  # largest side of an addition or scaling table
 
 
 def is_prime(n: int) -> bool:
@@ -101,6 +105,18 @@ def add_digits(a: int, b: int, p: int, s: int = 1) -> int:
         out += (ca + s * cb) % p * mult
         mult *= p
     return out
+
+
+@lru_cache(maxsize=None)
+def digit_add_table(p: int, n: int) -> list[list[int]]:
+    """add[a][x] = a + x digit by digit mod p, for a, x below n, a power of p.
+
+    One table per (p, n), shared by every caller: read it, never write it.
+    """
+    add = [list(range(n))]
+    for a in range(1, n):
+        add.append([(a + x) % p + p * add[a // p][x // p] for x in range(n)])
+    return add
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +423,11 @@ class FieldTower:
         """GF(q^l) tables, built on first use: scale[c][x] = c*x and, at odd p,
         add[a][x] = a + x (None at p = 2: a ^ x); (None, None) above the cap."""
         Q, p = self.Q, self.p
-        if Q > _ELIMINATION_TABLE_LIMIT:
+        if Q > TABLE_CAP:
             return None, None
         exp, logs = self.mid.exp, self.mid.log[1:]
         scale = [[0] * Q] + [[0] + [exp[lc + lx] for lx in logs] for lc in logs]
-        if p == 2:
-            return scale, None
-        add = [list(range(Q))]  # digit-wise: a + x = (a0 + x0) % p + p * (a//p + x//p)
-        for a in range(1, Q):
-            add.append([(a + x) % p + p * add[a // p][x // p] for x in range(Q)])
-        return scale, add
+        return scale, None if p == 2 else digit_add_table(p, Q)
 
     def mid_reduce(self, echelon: list[tuple[int, list[int]]], cur: list[int],
                    width: int) -> list[int] | None:

@@ -3,17 +3,20 @@
 A subspace is stored as its reduced row-echelon basis with strictly
 increasing pivot columns, so equality and hashing are structural.  Rows are
 packed base-q ints (coordinate 0 in the least significant digit); over GF(2)
-a row is a plain bitmask and elimination is word XOR.
+a row is a plain bitmask and elimination is word XOR.  For 2 < q <= TABLE_CAP
+`VectorOps` adds and scales rows one chunk of base-q digits per table lookup
+(addition stays XOR at q = 4, 8); above the cap it works digit by digit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import add_digits, field_for_order, pack_coords, unpack_coords
+from .fields import (TABLE_CAP, add_digits, digit_add_table, field_for_order,
+                     pack_coords, unpack_coords)
 
 
 def gaussian_binomial(v: int, k: int, q: int) -> int:
@@ -40,29 +43,80 @@ class VectorOps:
         self.q = q
         self.v = v
         self.field = field_for_order(q)
+        self.p = self.field.p
         self.qpow = [q ** j for j in range(v + 1)]
 
+    @cached_property
+    def tables(self) -> tuple[int, int, list | None, list] | None:
+        """(C, n, add, scale) for q != 2, built on first use; None at q = 2 or q > TABLE_CAP.
+
+        A vector is n chunks of w base-q digits, each chunk below C = q^w <=
+        TABLE_CAP, where n is the fewest chunks that cover v and w the least
+        width that gives n.  add[a][x] is the digit-wise sum of two chunks
+        (None at p = 2, where it is a ^ x); scale[s][x] is s times each digit.
+        """
+        q, f, v = self.q, self.field, max(self.v, 1)
+        if q == 2 or q > TABLE_CAP:
+            return None
+        most = 1  # base-q digits in the widest chunk below the cap
+        while q ** (most + 1) <= TABLE_CAP:
+            most += 1
+        n = -(-v // most)
+        w = -(-v // n)
+        C = q ** w
+        scale = [[pack_coords([f.mul(s, d) for d in unpack_coords(x, q, w)], q)
+                  for x in range(C)] for s in range(q)]
+        return C, n, None if self.p == 2 else digit_add_table(self.p, C), scale
+
     def add(self, a: int, b: int) -> int:
-        return add_digits(a, b, self.field.p)
+        if self.p == 2:
+            return a ^ b
+        return self._add_scaled(a, 1, b)
 
     def smul(self, c: int, a: int) -> int:
         if c == 0:
             return 0
         if c == 1:
             return a
-        f, q = self.field, self.q
+        tables = self.tables
+        if tables is None:
+            f, q = self.field, self.q
+            out, mult = 0, 1
+            while a:
+                a, ca = divmod(a, q)
+                if ca:
+                    out += f.mul(c, ca) * mult
+                mult *= q
+            return out
+        C, _, _, scale = tables
+        row = scale[c]
         out, mult = 0, 1
         while a:
-            a, ca = divmod(a, q)
-            if ca:
-                out += f.mul(c, ca) * mult
-            mult *= q
+            a, x = divmod(a, C)
+            out += row[x] * mult
+            mult *= C
         return out
 
     def sub_scaled(self, a: int, c: int, b: int) -> int:
         """a - c*b."""
-        p = self.field.p
-        return add_digits(a, self.smul(c, b), p, p - 1)
+        if self.p == 2:
+            return a ^ self.smul(c, b)
+        return self._add_scaled(a, self.field.mul(self.p - 1, c), b)
+
+    def _add_scaled(self, a: int, s: int, b: int) -> int:
+        """a + s*b at odd p."""
+        tables = self.tables
+        if tables is None:
+            return add_digits(a, self.smul(s, b), self.p)
+        C, _, add, scale = tables
+        row = scale[s]
+        out, mult = 0, 1
+        while a or b:
+            a, x = divmod(a, C)
+            b, y = divmod(b, C)
+            out += add[x][row[y]] * mult
+            mult *= C
+        return out
 
     def digit(self, a: int, j: int) -> int:
         return (a // self.qpow[j]) % self.q
@@ -109,17 +163,35 @@ class VectorOps:
     def span(self, rows: Sequence[int]) -> list[int]:
         """All q^len(rows) combinations of rows: span[c] has packed coefficients c.
 
-        Base-q digit j of c is the coefficient of rows[j].
+        Base-q digit j of c is the coefficient of rows[j].  At odd p each
+        chunk position is combined by table lookup alone, then the chunks
+        are joined.
         """
-        q = self.q
-        out = [0] * q ** len(rows)
-        base = 1
-        for r in rows:
-            for c in range(1, q):
-                cr = self.smul(c, r)
-                for mask in range(base):
-                    out[c * base + mask] = self.add(out[mask], cr)
-            base *= q
+        q, tables = self.q, self.tables
+        if self.p == 2 or tables is None:
+            out = [0] * q ** len(rows)
+            base = 1
+            for r in rows:
+                for c in range(1, q):
+                    cr = self.smul(c, r)
+                    for mask in range(base):
+                        out[c * base + mask] = self.add(out[mask], cr)
+                base *= q
+            return out
+        C, n, add, scale = tables
+        parts = []
+        for i in range(n):
+            part, base = [0], 1
+            for r in rows:
+                x = r // C ** i % C
+                for c in range(1, q):
+                    row = add[scale[c][x]]
+                    part += [row[a] for a in part[:base]]
+                base *= q
+            parts.append(part)
+        out = parts.pop()
+        for part in reversed(parts):
+            out = [hi * C + lo for hi, lo in zip(out, part)]
         return out
 
     def rank(self, rows: Iterable[int]) -> int:

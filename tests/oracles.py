@@ -2,7 +2,8 @@
 
 Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
-orders, addition one coordinate and one digit at a time, GF(q)-combinations
+orders, addition one coordinate and one digit at a time, GF(q)-vector
+arithmetic and row reduction one coordinate at a time, GF(q)-combinations
 one coefficient at a time, containment by rank, and Singer incidence by
 cycling an orbit and testing containment.
 """
@@ -12,7 +13,8 @@ from __future__ import annotations
 from random import Random
 from typing import Sequence
 
-from qgdd.fields import factorize, pack_coords, prime_power, unpack_coords
+from qgdd.fields import (factorize, field_for_order, pack_coords, prime_power,
+                         unpack_coords)
 from qgdd.subspaces import Subspace, vector_ops
 
 
@@ -84,6 +86,52 @@ def add_per_coordinate(a: int, b: int, q: int, v: int, s: int = 1) -> int:
                   for dx, dy in zip(unpack_coords(x, p, e), unpack_coords(y, p, e))]
         coords.append(pack_coords(digits, p))
     return pack_coords(coords, q)
+
+
+# -- GF(q)^v vectors, one FiniteField operation per coordinate -------------------
+
+def coordinate_add_scaled(a: int, s: int, b: int, q: int, v: int) -> int:
+    """a + s*b for packed vectors of GF(q)^v."""
+    f = field_for_order(q)
+    return pack_coords([f.add(x, f.mul(s, y)) for x, y in
+                        zip(unpack_coords(a, q, v), unpack_coords(b, q, v))], q)
+
+
+def coordinate_span(rows: Sequence[int], q: int, v: int) -> list[int]:
+    """Every combination of rows; entry c has the base-q digits of c as coefficients."""
+    out = []
+    for c in range(q ** len(rows)):
+        x = 0
+        for coeff, row in zip(unpack_coords(c, q, len(rows)), rows):
+            x = coordinate_add_scaled(x, coeff, row, q, v)
+        out.append(x)
+    return out
+
+
+def coordinate_rref(rows: Sequence[int], q: int, v: int) -> tuple[int, ...]:
+    """Reduced row-echelon basis by Gauss-Jordan on coordinate lists.
+
+    The pivot of a row is its first nonzero coordinate; rows come out by
+    increasing pivot.
+    """
+    f = field_for_order(q)
+    basis: list[list[int]] = []
+    for row in rows:
+        x = list(unpack_coords(row, q, v))
+        for b in basis:
+            c = f.sub(0, x[b.index(1)])
+            x = [f.add(xi, f.mul(c, bi)) for xi, bi in zip(x, b)]
+        if not any(x):
+            continue
+        inv = f.inv(next(c for c in x if c))
+        x = [f.mul(inv, xi) for xi in x]
+        piv = x.index(1)
+        for i, b in enumerate(basis):
+            c = f.sub(0, b[piv])
+            basis[i] = [f.add(bi, f.mul(c, xi)) for bi, xi in zip(b, x)]
+        basis.append(x)
+    basis.sort(key=lambda b: b.index(1))
+    return tuple(pack_coords(b, q) for b in basis)
 
 
 # -- containment ------------------------------------------------------------------

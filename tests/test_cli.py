@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgdd.cli import main, _parse_select
 
@@ -503,3 +505,81 @@ def test_closed_pipe_ends_quietly():
     assert proc.wait(timeout=60) == 0
     assert head == b"791 orbit("
     assert err == b""
+
+
+# -- malformed design files -----------------------------------------------------
+
+def _robustness_bases():
+    """(name, JSON object, verify options): valid q = 2 and q = 3 design files."""
+    from qgdd.designs import (DesignInstance, GddSelection, build_gdd,
+                              design_to_json_dict, make_explicit, supplementary)
+    from qgdd.subspaces import enumerate_subspaces
+    gdd2 = build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1}))
+    gdd3 = build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1}))
+    out = [("gdd2", gdd2, []), ("supplement2", supplementary(gdd2), []),
+           ("gdd3", gdd3, ["--sample", "8"])]
+    for q in (2, 3):  # every 3-subspace of GF(q)^4: a 2-(4,3,q+1)_q design
+        blocks = make_explicit((s.rows, 1) for s in enumerate_subspaces(4, 3, q))
+        design = DesignInstance(q=q, v=4, kind="design", K=(3,),
+                                claimed_lambda=q + 1, blocks=blocks)
+        out.append((f"all3_{q}", design, []))
+    return [(name, design_to_json_dict(d), opts) for name, d, opts in out]
+
+
+ROBUSTNESS_BASES = _robustness_bases()
+
+
+def _json_paths(obj, path=()):
+    """Every key or index path into a JSON value, the value itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+@st.composite
+def mutated_design(draw):
+    """A valid design file with one to three keys deleted, retyped or set out of range."""
+    name, data, opts = draw(st.sampled_from(ROBUSTNESS_BASES))
+    data = json.loads(json.dumps(data))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_json_paths(data))[1:]
+        if not paths:
+            break
+        shallow = [p for p in paths if len(p) <= 3]
+        path = draw(st.sampled_from(draw(st.sampled_from([shallow, paths]))))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        how = draw(st.sampled_from(["delete", "retype", "int"]))
+        if how == "delete":
+            del parent[path[-1]]
+        elif how == "retype":
+            parent[path[-1]] = draw(st.sampled_from(
+                [None, "x", 1.5, True, [], {}, [0], {"a": 1}]))
+        else:
+            parent[path[-1]] = draw(st.sampled_from(
+                [-1, 0, 1, 2, 3, 4, 7, 9, 64, 2 ** 31, 10 ** 12]))
+    return name, data, opts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_design())
+def test_verify_mutated_design_files(case):
+    """Exit 0, 1 or 2 and never an exception; exit 1 only for a file that loads."""
+    import contextlib
+    import io
+    import tempfile
+    from qgdd.designs import design_from_json_dict
+    name, data, opts = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["verify", "--in", str(path), "--json"] + opts)
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue().startswith("error: ")
+    if code == 1:
+        design_from_json_dict(data)

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgdd.fields import TABLE_CAP, build_tower, field_for_order
 from qgdd.subspaces import (Subspace, canonicalize, complement_positions,
                             enumerate_subspaces, gaussian_binomial,
                             intersection_dim, iter_rref_bases,
                             iter_superspace_bases, lift_row, superspaces,
                             vector_ops)
 
-from oracles import contains_vector
+from oracles import (contains_vector, coordinate_add_scaled, coordinate_rref,
+                     coordinate_span)
 
 
 def brute_count_subspaces(v, d, q):
@@ -203,3 +205,82 @@ def test_span_matches_per_coefficient_combination(q, d):
     for _ in range(4):
         rows = [rng.randrange(q ** (d + 1)) for _ in range(d)]
         assert ops.span(rows) == span_table(rows, ops)
+
+
+# -- chunk tables of VectorOps ------------------------------------------------------
+
+TABLE_QS = (3, 4, 5, 7, 8, 9)
+
+
+def _most_digits(q):
+    """Base-q digits in the widest chunk below the table cap."""
+    w = 0
+    while q ** (w + 1) <= TABLE_CAP:
+        w += 1
+    return w
+
+
+@st.composite
+def vector_rows(draw):
+    """(q, v, chunk count, rows): 1, 2 or 3 chunks, or q = 2 and the above-cap q = 257."""
+    q = draw(st.sampled_from(TABLE_QS + (2, 257)))
+    if q in (2, 257):
+        n, v = None, draw(st.integers(1, 4 if q == 2 else 2))
+    else:
+        n = draw(st.integers(1, 3))
+        w = _most_digits(q)
+        v = draw(st.integers((n - 1) * w + 1, n * w))
+    vec = st.integers(0, q ** v - 1)
+    rows = draw(st.lists(vec, max_size=4))
+    if rows and draw(st.booleans()):  # a dependent row
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append(coordinate_add_scaled(a, draw(st.integers(0, q - 1)), b, q, v))
+    return q, v, n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=vector_rows(), data=st.data())
+def test_vector_ops_match_per_coordinate_oracle(case, data):
+    q, v, n, rows = case
+    ops = vector_ops(q, v)
+    assert (ops.tables is None) == (n is None)
+    if n is not None:
+        assert ops.tables[1] == n
+    a, b = (data.draw(st.integers(0, q ** v - 1)) for _ in range(2))
+    c = data.draw(st.integers(0, q - 1))
+    minus_c = field_for_order(q).sub(0, c)
+    assert ops.add(a, b) == coordinate_add_scaled(a, 1, b, q, v)
+    assert ops.smul(c, b) == coordinate_add_scaled(0, c, b, q, v)
+    assert ops.sub_scaled(a, c, b) == coordinate_add_scaled(a, minus_c, b, q, v)
+    assert ops.rref(rows) == coordinate_rref(rows, q, v)
+    spanned = [r for i, r in enumerate(rows) if q ** (i + 1) <= 729]  # a prefix
+    assert ops.span(spanned) == coordinate_span(spanned, q, v)
+
+
+@pytest.mark.parametrize("q,v", [(3, 6), (3, 7), (4, 5), (5, 7), (7, 3), (8, 3), (9, 3)])
+def test_vector_tables_match_field_arithmetic(q, v):
+    """Every scale entry and every table sum, against FiniteField, exhaustively."""
+    C, n, add, scale = vector_ops(q, v).tables
+    w = next(w for w in range(1, 9) if q ** w == C)
+    p = field_for_order(q).p
+    assert len(scale) == q and all(len(row) == C for row in scale)
+    for s in range(q):
+        assert scale[s] == [coordinate_add_scaled(0, s, x, q, w) for x in range(C)]
+    assert (add is None) == (p == 2)
+    if add is not None:
+        assert len(add) == C and all(len(row) == C for row in add)
+        for a in range(C):
+            assert add[a] == [coordinate_add_scaled(a, 1, x, q, w) for x in range(C)]
+
+
+def test_vector_tables_cap():
+    assert TABLE_CAP == 256
+    assert build_tower(3, 1, 5, 2).elimination_tables[1] is not None
+    assert build_tower(3, 1, 6, 2).elimination_tables == (None, None)
+    # (q, v) -> (C, chunks): the fewest chunks below the cap, then the least width
+    for (q, v), (C, n) in {(3, 6): (27, 2), (5, 7): (125, 3), (9, 3): (81, 2),
+                           (3, 5): (243, 1), (4, 4): (256, 1), (256, 2): (256, 2)}.items():
+        assert vector_ops(q, v).tables[:2] == (C, n)
+    assert vector_ops(2, 6).tables is None
+    assert vector_ops(257, 2).tables is None
+    assert vector_ops(3, 6).tables[2] is build_tower(3, 1, 3, 2).elimination_tables[1]
