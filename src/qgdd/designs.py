@@ -6,9 +6,9 @@ with multiplicities, expanded lazily).  Verification is exact counting
 over a stream of 2-subspaces, each keyed by its canonical basis rows: every
 2-subspace in full mode, seeded-random ones in sampled mode.  The blocks
 through each are read from one tally of the pairs inside every block, or,
-for a sampled implicit design, counted once per GL(m, q^l)-orbit of
-2-subspaces as that orbit's incidence row dotted with the design's label
-weights.
+for a sampled implicit design, from one exact block-side sum per
+GL(m, q^l)-orbit of 2-subspaces over the pairs inside one block of each of
+the design's own orbit labels.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import incidence
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
@@ -93,11 +93,8 @@ def block_count(design: DesignInstance) -> int:
     if isinstance(blocks, ExplicitBlocks):
         return sum(m for _, m in blocks.items)
     atlas = gl_atlas(blocks.m, blocks.l, design.q)
-    total = sum(lw.multiplicity * atlas.label_orbit_size(lw.label)
-                for lw in blocks.labels + blocks.line_labels)
-    if blocks.omega_kk:
-        total += atlas.label_orbit_size(OrbitLabel(blocks.k, blocks.k, None, None))
-    return total
+    return sum(lw.multiplicity * atlas.label_orbit_size(lw.label)
+               for lw in _block_orbits(blocks))
 
 
 def is_simple(design: DesignInstance) -> bool:
@@ -127,7 +124,9 @@ def expand_blocks(design: DesignInstance,
         for gen in _spread_generators(atlas):
             for member in members:
                 yield ops.rref(atlas.line_rows(member, gen)), lw.multiplicity
-    wanted = _label_weights(blocks)
+    # the mixed labels and the span-k orbit, found by one labeled sweep
+    wanted = {lw.label.key(): lw.multiplicity for lw in _block_orbits(blocks)
+              if lw.label.kind != "line"}
     if not wanted:
         return
     total = gaussian_binomial(v, blocks.k, q)
@@ -141,15 +140,14 @@ def expand_blocks(design: DesignInstance,
             yield rows, mult
 
 
-def _label_weights(blocks: ImplicitBlocks) -> dict[tuple, int]:
-    """Multiplicity of each k-orbit of an implicit design, by label key.
+def _block_orbits(blocks: ImplicitBlocks) -> tuple[LabelWeight, ...]:
+    """Every GL(m, q^l)-orbit of blocks of an implicit design, with multiplicity.
 
-    The mixed labels and, with omega_kk, the span-k orbit ("full", k).
+    The line labels (W.x over every nonzero x is one orbit), the mixed labels
+    and, with omega_kk, the span-k orbit.
     """
-    weights = {lw.label.key(): lw.multiplicity for lw in blocks.labels}
-    if blocks.omega_kk:
-        weights[("full", blocks.k)] = 1
-    return weights
+    full = (LabelWeight(OrbitLabel(blocks.k, blocks.k, None, None), 1),)
+    return blocks.line_labels + blocks.labels + (full if blocks.omega_kk else ())
 
 
 def _spread_generators(atlas: GlAtlas) -> list[tuple[int, ...]]:
@@ -445,9 +443,10 @@ def verify_design(design: DesignInstance, mode: str = "full",
 
     Full mode checks every 2-subspace of the ambient space; sampled mode
     draws sample >= 1 seeded-random 2-subspaces.  An implicit design is a
-    union of GL(m, q^l)-orbits, so in sampled mode the coverage of a
-    2-subspace is counted once per orbit of 2-subspaces and reused for the
-    others.  Otherwise every block is expanded once into a pair tally.
+    union of GL(m, q^l)-orbits, so in sampled mode the drawn pairs are
+    labeled by orbit in one stream and each orbit's coverage is one exact
+    block-side sum over the design's labels (_ImplicitCoverage), with no
+    block expanded.  Otherwise every block is expanded once into a pair tally.
     """
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown verification mode {mode!r}")
@@ -469,13 +468,13 @@ def verify_design(design: DesignInstance, mode: str = "full",
         pairs = (_random_2subspace(rng, q, v) for _ in range(sample))
         drawn = (sample, seed)
     if drawn and isinstance(design.blocks, ImplicitBlocks):
-        coverage = _ImplicitCoverage(design).coverage
+        counted = _ImplicitCoverage(design).coverage(pairs)
         n_blocks = block_count(design)
     else:
         counts, n_blocks = coverage_counter(design, threads, budget)
-        coverage = counts.__getitem__
-    for rows in pairs:
-        tally.record(rows, coverage(rows))
+        counted = ((rows, counts[rows]) for rows in pairs)
+    for rows, got in counted:
+        tally.record(rows, got)
     return tally.report(mode, n_blocks, sample=drawn)
 
 
@@ -520,67 +519,49 @@ def _random_2subspace(rng: Random, q: int, v: int) -> tuple[int, ...]:
 
 
 class _ImplicitCoverage:
-    """Coverage of a 2-subspace U by an implicit design, counted once per orbit.
+    """Coverage of 2-subspaces by an implicit design, from the block side.
 
-    The design is a union of G = GL(m, q^l)-orbits: each mixed label and the
-    span-k label is one G-orbit of k-subspaces, and line labels, expanded
-    along every spread line, are G-invariant too.  So the number of blocks
-    through U depends only on the G-orbit of U, which label_key_rows names:
-    ("full", 2) for the span-2 pairs, which form one orbit, and
-    ("line", 2, Singer rep of W) for a pair U = W.x inside a spread line.
-    Each key is counted once per instance, that is once per verification
-    call, as U's row of the incidence matrix dotted with the label weights.
-    The span-2 row is streamed (incidence.row_coverage).  The one nonzero
-    mixed entry of the row of W.x is the r=1 diagonal entry, a closed form
-    for every k, in the column of W's label.  Line blocks are counted on
-    the representative W.
+    The design is a union of G = GL(m, q^l)-orbits C of blocks (_block_orbits),
+    so the number of blocks through a 2-subspace depends only on its G-orbit
+    R, which label_keys names: ("full", 2) for the span-2 pairs and
+    ("line", 2, Singer rep of W) for a pair W.x inside a spread line.
+    Counting the pairs (U, B), U in R inside B in C, both ways gives the
+    Kramer-Mesner identity A[R][C]·|R| = |C|·N(C, R), N(C, R) being the
+    number of 2-subspaces of one block of C that lie in R.  by_key holds the
+    exact sum_C w_C·|C|·N(C, R) / |R| for each R met, from one realized
+    block per label, whatever v; any other R is covered 0 times.
     """
 
     def __init__(self, design: DesignInstance):
-        blocks = design.blocks
-        self.atlas = gl_atlas(blocks.m, blocks.l, design.q)
-        self.k = blocks.k
-        self.weights = _label_weights(blocks)
-        self.line_weights = blocks.line_labels
-        self.q, self.v = design.q, design.v
-        self.memo: dict[tuple, int] = {}
+        blocks, q, v = design.blocks, design.q, design.v
+        self.atlas = atlas = gl_atlas(blocks.m, blocks.l, q)
+        incident: Counter = Counter()  # R -> sum_C w_C·|C|·N(C, R)
+        for lw in _block_orbits(blocks):
+            weight = lw.multiplicity * atlas.label_orbit_size(lw.label)
+            if not weight:  # the span-k orbit is empty for k > m
+                continue
+            block = atlas.realize(lw.label)
+            for _, key in atlas.label_keys(block_pair_keys(block.rows, q, v)):
+                incident[key] += weight
+        self.by_key = {
+            key: incidence._exact_div(n, atlas.label_orbit_size(_pair_label(key)),
+                                      f"coverage of {key}")
+            for key, n in incident.items()}
 
-    def coverage(self, rows: tuple[int, ...]) -> int:
-        key = self.atlas.label_key_rows(rows)
-        count = self.memo.get(key)
-        if count is None:
-            count = self.memo[key] = self._count(rows, key)
-        return count
+    def coverage(self, pairs: Iterable[tuple[int, ...]]
+                 ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """(rows, blocks through span(rows)) over a stream of 2-subspace bases.
 
-    def _count(self, rows: tuple[int, ...], key: tuple) -> int:
-        atlas, weights, k = self.atlas, self.weights, self.k
-        if key[0] == "full":
-            # line blocks live inside single spread lines; span-2 pairs do not
-            if not weights:
-                return 0
-            row = incidence.row_coverage(atlas, Subspace(self.q, self.v, rows), k)
-            return sum(weights.get(col, 0) * n for col, n in row.items())
-        rep = key[2]
-        total = self._line_coverage(rep)
-        w = weights.get(("mixed", k, 1, rep), 0)
-        if w:
-            total += w * incidence.diagonal_entry(atlas.m, atlas.l, k, self.q)
-        return total
-
-    def _line_coverage(self, rep: tuple[int, ...]) -> int:
-        """Line blocks through W.x, for W with Singer representative rep.
-
-        A line label of dimension d contributes its multiplicity times the
-        Singer incidence entry (rep, the label's orbit of d-subspaces).
+        The bases are labeled by orbit in one label_keys stream.
         """
-        singer = self.atlas.singer
-        total = 0
-        for lw in self.line_weights:
-            d = lw.label.dim
-            if d >= 2:
-                col = singer.orbit_index_map(d)[lw.label.rep_rows]
-                total += lw.multiplicity * singer.incidence_row(rep, d)[col]
-        return total
+        by_key = self.by_key
+        for rows, key in self.atlas.label_keys(pairs):
+            yield rows, by_key.get(key, 0)
+
+
+def _pair_label(key: tuple) -> OrbitLabel:
+    """The orbit label of a 2-subspace label key, ("full", 2) or ("line", 2, rep)."""
+    return OrbitLabel(2, 2, None, None) if key[0] == "full" else OrbitLabel(2, 1, None, key[2])
 
 # ---------------------------------------------------------------------------
 # pairwise balanced designs

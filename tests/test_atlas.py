@@ -361,8 +361,11 @@ def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
 SWEEP_LIMIT = 100_000  # sweep a dimension only when it has at most this many subspaces
 
 
-@pytest.mark.parametrize("m,l,k,q", [(2, 3, 3, 2), (2, 4, 3, 2), (3, 4, 4, 2),
-                                     (2, 3, 3, 3), (2, 3, 3, 4), (2, 7, 3, 2)])
+ORBIT_POINTS = [(2, 3, 3, 2), (2, 4, 3, 2), (3, 4, 4, 2), (2, 3, 3, 3), (2, 3, 3, 4),
+                (2, 7, 3, 2)]
+
+
+@pytest.mark.parametrize("m,l,k,q", ORBIT_POINTS)
 def test_orbit_labels_realize_and_size(m, l, k, q):
     # each label realizes into its own orbit; sizes match exhaustive counts
     at = gl_atlas(m, l, q)
@@ -379,3 +382,33 @@ def test_orbit_labels_realize_and_size(m, l, k, q):
             assert {key: counts[key] for key in sizes} == sizes
             assert set(counts) - set(sizes) <= {("other", d, s) for s in range(2, d - 1)}
     assert sum(map(at.label_orbit_size, at.orbit_labels(2))) == gaussian_binomial(v, 2, q)
+
+
+@pytest.mark.parametrize("m,l,k,q", ORBIT_POINTS)
+def test_block_side_coverage_matches_streamed_rows(m, l, k, q):
+    """The block-side sum equals the streamed superspace count, entry by entry.
+
+    Every row orbit against every labeled k-orbit, and against the line
+    orbits of each dimension d < k (d = 1 holds no pair, d = 2 only itself),
+    each taken alone as a design; the oracle streams the d-superspaces of
+    each realized row (incidence.row_coverage).
+    """
+    from qgdd.designs import (DesignInstance, ImplicitBlocks, LabelWeight,
+                              _ImplicitCoverage)
+    from qgdd.incidence import row_coverage
+    at = gl_atlas(m, l, q)
+    rows = at.orbit_labels(2)
+    realized = [at.realize(row) for row in rows]
+    streamed = {d: [row_coverage(at, U, d) for U in realized] for d in range(2, k + 1)}
+    columns = list(at.orbit_labels(k)) + [
+        OrbitLabel(d, 1, None, o.rep.rows)
+        for d in range(1, k) for o in at.singer.orbit_representatives(d)]
+    for col in columns:
+        one = (LabelWeight(col, 1),)
+        blocks = ImplicitBlocks(m, l, k, one if col.kind == "mixed" else (),
+                                one if col.kind == "line" else (), col.kind == "full")
+        cov = _ImplicitCoverage(DesignInstance(q=q, v=m * l, kind="design", K=(k,),
+                                               claimed_lambda=None, blocks=blocks))
+        for i, row in enumerate(rows):
+            want = streamed[col.dim][i][col.key()] if col.dim >= 2 else 0
+            assert cov.by_key.get(row.key(), 0) == want, (row, col)

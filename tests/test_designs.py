@@ -659,6 +659,12 @@ def test_gdd_odd_characteristic_full():
     assert sampled.passed
 
 
+def _cover(cov, rows):
+    """Blocks through span(rows), read through the coverage stream."""
+    (_, count), = cov.coverage([rows])
+    return count
+
+
 def test_sampled_generic_path_k4_matches_closed_form():
     # coverage of the span-2 representative equals the matrix entry
     from qgdd.designs import _ImplicitCoverage
@@ -670,10 +676,10 @@ def test_sampled_generic_path_k4_matches_closed_form():
     A = closed_form_matrix(3, 4, 4, 2)
     label = g.blocks.labels[0].label
     col = A.col_labels.index(label)
-    assert cov.coverage(rep.rows) == A.entries[-1][col] == g.claimed_lambda
+    assert _cover(cov, rep.rows) == A.entries[-1][col] == g.claimed_lambda
 
 
-# -- orbit-memoized sampled coverage against fresh counts -------------------------
+# -- block-side sampled coverage against fresh counts ------------------------------
 
 def _weighted_k3_design(m, l, q, omega_kk):
     """Mixed 3-orbit labels of both r with multiplicities 1, 2, (absent), 3, ..."""
@@ -703,7 +709,7 @@ def _fresh_coverage(design, rows):
 
     Every k-superspace of the pair itself is labeled and weighted by its
     label's multiplicity, and the line labels are expanded into blocks and
-    tested for containment: no orbit memo, no representative and no closed
+    tested for containment: no orbit sum, no representative and no closed
     form.
     """
     from dataclasses import replace
@@ -725,13 +731,13 @@ def _fresh_coverage(design, rows):
     return total
 
 
-def _check_orbit_memo(design, seed, n_pairs=6):
-    """Memoized sampled coverage equals the fresh count on seeded pairs.
+def _check_block_side_coverage(design, seed, n_pairs=6):
+    """Block-side sampled coverage equals the fresh count on seeded pairs.
 
-    Draws n_pairs span-2 pairs and n_pairs span-1 pairs W.x through one
-    coverage instance, and checks that its memo holds one key per orbit
-    met, at most one per Singer orbit of 2-subspaces plus the span-2 one.
-    Returns the (span-2, span-1) counts.
+    Draws n_pairs span-2 pairs and n_pairs span-1 pairs W.x and streams them
+    through one coverage instance.  Its table holds at most one count per
+    Singer orbit of 2-subspaces plus the span-2 one, and every pair whose
+    orbit it lacks is covered 0 times.  Returns the (span-2, span-1) counts.
     """
     from qgdd.designs import _ImplicitCoverage, _random_2subspace
     cov = _ImplicitCoverage(design)
@@ -745,11 +751,15 @@ def _check_orbit_memo(design, seed, n_pairs=6):
     span1 = [_random_line_pair(rng, atlas) for _ in range(n_pairs)]
     counts = []
     for pairs in (span2, span1):
-        counts.append([cov.coverage(rows) for rows in pairs])
+        streamed = list(cov.coverage(iter(pairs)))
+        assert [rows for rows, _ in streamed] == pairs
+        counts.append([n for _, n in streamed])
         assert counts[-1] == [_fresh_coverage(design, rows) for rows in pairs]
-    assert ("full", 2) in cov.memo
-    assert len(cov.memo) == 1 + len({atlas.label_key_rows(r) for r in span1})
-    assert len(cov.memo) <= 1 + len(atlas.singer.orbit_representatives(2))
+        for rows, n in streamed:
+            assert cov.by_key.get(atlas.label_key_rows(rows), 0) == n
+    assert set(cov.by_key) <= {("full", 2)} | {
+        ("line", 2, o.rep.rows) for o in atlas.singer.orbit_representatives(2)}
+    assert all(cov.by_key.values())
     return counts
 
 
@@ -757,20 +767,22 @@ def _check_orbit_memo(design, seed, n_pairs=6):
 @pytest.mark.parametrize("m,l,q", [(2, 3, 2), (2, 4, 2), (3, 3, 2), (2, 3, 3),
                                    (3, 3, 3)])
 def test_k3_kernels_match_generic_on_weighted_designs(m, l, q, omega_kk):
-    span2, span1 = _check_orbit_memo(_weighted_k3_design(m, l, q, omega_kk),
-                                     100 * m + 10 * l + q)
+    span2, span1 = _check_block_side_coverage(_weighted_k3_design(m, l, q, omega_kk),
+                                              100 * m + 10 * l + q)
     assert min(span2) > 0 and any(span1)
     if (m, l, q) == (2, 4, 2):
-        # its span-1 orbits carry different counts, so a memo keyed by the
+        # its span-1 orbits carry different counts, so a sum keyed by the
         # span class alone would fail here
         assert len(set(span1)) > 1
 
 
 @pytest.mark.parametrize("seed_v,seed_k", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_orbit_memo_on_pbd_line_labels(seed_v, seed_k):
+    # line labels of dimension 2 (d != k = 3) or 3 (at l = 3 the whole spread line)
     pbd = build_pbd(complete_design(seed_v, seed_k, 2), 2, 3,
                     GddSelection.of({(2, 3 if seed_v == 3 else 1): 1}))
-    span2, span1 = _check_orbit_memo(pbd, 10 * seed_v + seed_k)
+    assert {lw.label.dim for lw in pbd.blocks.line_labels} == {seed_k}
+    span2, span1 = _check_block_side_coverage(pbd, 10 * seed_v + seed_k)
     claims = dict(pbd.claimed_lambda_by_class)
     assert (set(span1), set(span2)) == ({claims["span1"]}, {claims["span2"]})
 
@@ -780,6 +792,7 @@ def test_span1_coverage_k4_is_the_r1_diagonal():
     # 2) through the diagonal entry at k = 4, and in no r=2 block
     from qgdd.atlas import gl_atlas
     from qgdd.designs import _ImplicitCoverage
+    from qgdd.incidence import diagonal_entry
     from qgdd.subspaces import vector_ops
     atlas = gl_atlas(3, 4, 2)
     r1, r2 = (next(lb for lb in atlas.orbit_labels(4) if lb.r == r) for r in (1, 2))
@@ -789,7 +802,8 @@ def test_span1_coverage_k4_is_the_r1_diagonal():
                             claimed_lambda=None, blocks=blocks)
     rows = vector_ops(2, 12).rref(atlas.line_rows(r1.rep_rows, (0, 1, 6)))
     assert atlas.label_key_rows(rows) == ("line", 2, r1.rep_rows)
-    assert _ImplicitCoverage(design).coverage(rows) == _fresh_coverage(design, rows) > 0
+    got = _cover(_ImplicitCoverage(design), rows)
+    assert got == _fresh_coverage(design, rows) == 2 * diagonal_entry(3, 4, 4, 2)
 
 
 def test_coverage_counter_caps_workers_at_cpu_count(gdd633, monkeypatch):

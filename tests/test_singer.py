@@ -214,10 +214,17 @@ def test_line_coverage_matches_containment_count(l, q):
     design = DesignInstance(q=q, v=2 * l, kind="design", K=(3,), claimed_lambda=None,
                             blocks=ImplicitBlocks(2, l, 3, (), tuple(weights), False))
     cov = _ImplicitCoverage(design)
-    for row in action.orbit_representatives(2):
+    rows = action.orbit_representatives(2)
+    # W.x for each row W, at x = (1, 0) and at a second point of another line
+    pairs = [cov.atlas.line_rows(row.rep.rows, x) for row in rows
+             for x in ((1, 0), (1, 1))]
+    counted = [n for _, n in cov.coverage(pairs)]
+    for i, row in enumerate(rows):
         want = sum(lw.multiplicity * containment_count(action, row.rep.rows, o.rep.rows)
                    for lw, o in zip(weights, orbits) if o.d >= 2)
-        assert cov._line_coverage(row.rep.rows) == want
+        assert counted[2 * i:2 * i + 2] == [want, want]
+    # line blocks hold no span-2 pair
+    assert ("full", 2) not in cov.by_key
 
 
 def test_km_solve_trivial():
