@@ -18,6 +18,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -32,6 +33,7 @@ from .subspaces import iter_superspace_bases  # noqa: F401
 FORMAT_VERSION = 1
 EXPANSION_BUDGET = 2_000_000
 PAIR_SWEEP_BUDGET = 3_000_000
+LABEL_BATCH = 4096  # drawn pairs labeled per label_keys stream
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +103,7 @@ def is_simple(design: DesignInstance) -> bool:
     blocks = design.blocks
     if isinstance(blocks, ExplicitBlocks):
         return all(m == 1 for _, m in blocks.items)
-    weights = [lw.multiplicity for lw in blocks.labels + blocks.line_labels]
-    return all(w == 1 for w in weights)
+    return all(w == 1 for w in _orbit_weights(blocks).values())
 
 
 def expand_blocks(design: DesignInstance,
@@ -125,8 +126,8 @@ def expand_blocks(design: DesignInstance,
             for member in members:
                 yield ops.rref(atlas.line_rows(member, gen)), lw.multiplicity
     # the mixed labels and the span-k orbit, found by one labeled sweep
-    wanted = {lw.label.key(): lw.multiplicity for lw in _block_orbits(blocks)
-              if lw.label.kind != "line"}
+    wanted = {key: w for key, w in _orbit_weights(blocks).items()
+              if key[0] != "line"}
     if not wanted:
         return
     total = gaussian_binomial(v, blocks.k, q)
@@ -148,6 +149,14 @@ def _block_orbits(blocks: ImplicitBlocks) -> tuple[LabelWeight, ...]:
     """
     full = (LabelWeight(OrbitLabel(blocks.k, blocks.k, None, None), 1),)
     return blocks.line_labels + blocks.labels + (full if blocks.omega_kk else ())
+
+
+def _orbit_weights(blocks: ImplicitBlocks) -> Counter:
+    """Multiplicity of each block orbit by label key; a label listed twice adds up."""
+    weights: Counter = Counter()
+    for lw in _block_orbits(blocks):
+        weights[lw.label.key()] += lw.multiplicity
+    return weights
 
 
 def _spread_generators(atlas: GlAtlas) -> list[tuple[int, ...]]:
@@ -444,9 +453,10 @@ def verify_design(design: DesignInstance, mode: str = "full",
     Full mode checks every 2-subspace of the ambient space; sampled mode
     draws sample >= 1 seeded-random 2-subspaces.  An implicit design is a
     union of GL(m, q^l)-orbits, so in sampled mode the drawn pairs are
-    labeled by orbit in one stream and each orbit's coverage is one exact
-    block-side sum over the design's labels (_ImplicitCoverage), with no
-    block expanded.  Otherwise every block is expanded once into a pair tally.
+    labeled by orbit in batched streams and each orbit's coverage is one
+    exact block-side sum over the design's labels (_ImplicitCoverage), with
+    no block expanded.  A label listed twice counts with the sum of its
+    multiplicities in both modes.  Otherwise every block is expanded once into a pair tally.
     """
     if mode not in ("full", "sampled"):
         raise ValueError(f"unknown verification mode {mode!r}")
@@ -552,11 +562,14 @@ class _ImplicitCoverage:
                  ) -> Iterator[tuple[tuple[int, ...], int]]:
         """(rows, blocks through span(rows)) over a stream of 2-subspace bases.
 
-        The bases are labeled by orbit in one label_keys stream.
+        The bases are labeled by orbit, LABEL_BATCH at a time, each batch in
+        one label_keys stream.
         """
-        by_key = self.by_key
-        for rows, key in self.atlas.label_keys(pairs):
-            yield rows, by_key.get(key, 0)
+        by_key, pairs = self.by_key, iter(pairs)
+        # a fresh stream per batch bounds the stream's row cache
+        while batch := list(islice(pairs, LABEL_BATCH)):
+            for rows, key in self.atlas.label_keys(batch):
+                yield rows, by_key.get(key, 0)
 
 
 def _pair_label(key: tuple) -> OrbitLabel:

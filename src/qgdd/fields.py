@@ -14,8 +14,7 @@ digit-by-digit addition over GF(p) as adding field elements (`add_digits`);
 for characteristic 2 it is plain integer XOR.  `digit_add_table` tabulates
 that addition for values below a power of p; it serves both the GF(q^l)
 elimination tables and the chunk tables of `subspaces.VectorOps`, which
-share the cap TABLE_CAP.  `digit_scale_table` tabulates GF(q) scaling of
-every digit of a chunk, once per (q, chunk width).
+share the cap TABLE_CAP.
 """
 
 from __future__ import annotations
@@ -118,24 +117,6 @@ def digit_add_table(p: int, n: int) -> list[list[int]]:
     for a in range(1, n):
         add.append([(a + x) % p + p * add[a // p][x // p] for x in range(n)])
     return add
-
-
-@lru_cache(maxsize=None)
-def digit_scale_table(q: int, w: int) -> list[list[int]]:
-    """scale[s][x] = s times each base-q digit of x, for s in GF(q) and x below q^w.
-
-    The digit recursion of digit_add_table, one GF(q) product per digit
-    value.  One table per (q, w), shared by every caller: read it, never
-    write it.
-    """
-    f = field_for_order(q)
-    scale = []
-    for s in range(q):
-        mul = row = [f.mul(s, d) for d in range(q)]
-        for _ in range(w - 1):  # x = lo + q*hi, hi below the previous width
-            row = [lo + q * hi for hi in row for lo in mul]
-        scale.append(row)
-    return scale
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .fields import (TABLE_CAP, add_digits, digit_add_table, digit_scale_table,
-                     field_for_order, pack_coords, unpack_coords)
+from .fields import (TABLE_CAP, add_digits, digit_add_table, field_for_order,
+                     pack_coords, unpack_coords)
 
 
 def gaussian_binomial(v: int, k: int, q: int) -> int:
@@ -55,7 +55,7 @@ class VectorOps:
         width that gives n.  add[a][x] is the digit-wise sum of two chunks
         (None at p = 2, where it is a ^ x); scale[s][x] is s times each digit.
         """
-        q, v = self.q, max(self.v, 1)
+        q, f, v = self.q, self.field, max(self.v, 1)
         if q == 2 or q > TABLE_CAP:
             return None
         most = 1  # base-q digits in the widest chunk below the cap
@@ -64,8 +64,9 @@ class VectorOps:
         n = -(-v // most)
         w = -(-v // n)
         C = q ** w
-        add = None if self.p == 2 else digit_add_table(self.p, C)
-        return C, n, add, digit_scale_table(q, w)
+        scale = [[pack_coords([f.mul(s, d) for d in unpack_coords(x, q, w)], q)
+                  for x in range(C)] for s in range(q)]
+        return C, n, None if self.p == 2 else digit_add_table(self.p, C), scale
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:

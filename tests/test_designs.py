@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+from qgdd import designs
+from qgdd.atlas import GlAtlas
 from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           ImplicitBlocks, LabelWeight, block_count,
                           block_pair_keys, break_blocks, build_gdd, build_pbd,
@@ -121,6 +123,40 @@ def test_sampled_matches_full(gdd633):
     assert rep.passed
     assert dict(rep.lambda_by_class)["span2"] == 6
     assert rep.sample == (200, 13)
+
+
+def test_repeated_label_counts_alike_in_both_modes(gdd633):
+    """A mixed label listed twice counts twice, in full and in sampled mode."""
+    data = design_to_json_dict(gdd633)
+    data["claimed_lambda"] = 12
+    implicit = data["blocks"]["implicit"]
+    listed_twice = design_from_json_dict(
+        dict(data, blocks={"implicit": dict(implicit, labels=implicit["labels"] * 2)}))
+    doubled = design_from_json_dict(dict(data, blocks={"implicit": dict(
+        implicit, labels=[dict(implicit["labels"][0], multiplicity=2)])}))
+    reports = [verify_gdd(design, mode=mode, sample=200, seed=13)
+               for design in (listed_twice, doubled) for mode in ("full", "sampled")]
+    for rep in reports:
+        assert rep.passed and not rep.simple
+        assert dict(rep.lambda_by_class)["span2"] == 12
+        assert rep.block_count == 2 * block_count(gdd633)
+    assert list(expand_blocks(listed_twice)) == list(expand_blocks(doubled))
+
+
+def test_sampled_labels_drawn_pairs_in_bounded_batches(gdd633, monkeypatch):
+    """Each label_keys stream of drawn pairs holds at most LABEL_BATCH of them."""
+    whole = verify_gdd(gdd633, mode="sampled", sample=50, seed=7)
+    streams = []
+    label_keys = GlAtlas.label_keys
+
+    def recorded(self, bases):
+        streams.append(bases)
+        return label_keys(self, bases)
+
+    monkeypatch.setattr(designs, "LABEL_BATCH", 8)
+    monkeypatch.setattr(GlAtlas, "label_keys", recorded)
+    assert verify_gdd(gdd633, mode="sampled", sample=50, seed=7) == whole
+    assert [len(b) for b in streams if isinstance(b, list)] == [8] * 6 + [2]
 
 
 @pytest.mark.parametrize("mode", ["full", "sampled"])

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgdd.fields import (TABLE_CAP, Extension, FieldTower, add_digits, build_tower,
-                         digit_scale_table, finite_field, field_for_order,
-                         pack_coords, prime_power, unpack_coords)
+from qgdd.fields import (Extension, FieldTower, add_digits, build_tower,
+                         finite_field, field_for_order, pack_coords,
+                         prime_power, unpack_coords)
 from qgdd.subspaces import Subspace, canonicalize, vector_ops
 
 from oracles import add_per_coordinate, apply_matrix, element_order, random_gl
@@ -309,19 +309,3 @@ def test_digit_addition_matches_per_coordinate_oracle(q, v, data):
     x, y = a % q, b % q
     assert field.add(x, y) == add_per_coordinate(x, y, q, 1)
     assert field.sub(x, y) == add_per_coordinate(x, y, q, 1, p - 1)
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
-def test_digit_scale_table_matches_per_digit_mul(q):
-    """Every entry at every chunk width up to the cap, against FiniteField.mul."""
-    field = field_for_order(q)
-    w = 1
-    while q ** w <= TABLE_CAP:
-        scale = digit_scale_table(q, w)
-        assert len(scale) == q and all(len(row) == q ** w for row in scale)
-        for s in range(q):
-            assert scale[s] == [pack_coords([field.mul(s, d) for d in unpack_coords(x, q, w)], q)
-                                for x in range(q ** w)]
-        w += 1
-    # one table per (q, w), whatever the vector length that asks for it
-    assert vector_ops(3, 6).tables[3] is vector_ops(3, 3).tables[3] is digit_scale_table(3, 3)
