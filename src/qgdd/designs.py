@@ -17,7 +17,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -106,39 +106,56 @@ def is_simple(design: DesignInstance) -> bool:
     return all(w == 1 for w in _orbit_weights(blocks).values())
 
 
-def expand_blocks(design: DesignInstance,
-                  budget: int = EXPANSION_BUDGET) -> Iterator[tuple[tuple[int, ...], int]]:
+def expand_blocks(design: DesignInstance, budget: int = EXPANSION_BUDGET,
+                  shard: tuple[int, int] = (0, 1),
+                  ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Stream (canonical rows, multiplicity) for every block.
 
     Implicit mixed-class labels are expanded by a single labeled sweep over
     all k-subspaces; span-1 labels expand structurally along the spread.
+    Shard (i, n) streams one of n disjoint parts whose union is the whole
+    stream: the explicit items i, i + n, ..., the line blocks on spread
+    lines i, i + n, ..., and the sweep's shard (i, n) of iter_rref_bases.
     """
+    i, n = shard
     blocks = design.blocks
     if isinstance(blocks, ExplicitBlocks):
-        yield from blocks.items
+        yield from blocks.items[i::n]
         return
+    _check_sweep_budget(design, budget)
     q, v = design.q, design.v
     atlas = gl_atlas(blocks.m, blocks.l, q)
     ops = vector_ops(q, v)
+    gens = _spread_generators(atlas)[i::n]
     for lw in blocks.line_labels:
         members = list(atlas.singer.cycle(lw.label.rep_rows))
-        for gen in _spread_generators(atlas):
+        for gen in gens:
             for member in members:
                 yield ops.rref(atlas.line_rows(member, gen)), lw.multiplicity
     # the mixed labels and the span-k orbit, found by one labeled sweep
-    wanted = {key: w for key, w in _orbit_weights(blocks).items()
-              if key[0] != "line"}
+    wanted = _swept_weights(blocks)
     if not wanted:
         return
-    total = gaussian_binomial(v, blocks.k, q)
-    if total > budget:
-        raise ValueError(
-            f"expansion needs a sweep over {total} subspaces (budget {budget}); "
-            "use sampled verification")
-    for rows, key in atlas.label_keys(iter_rref_bases(v, blocks.k, q)):
+    for rows, key in atlas.label_keys(iter_rref_bases(v, blocks.k, q, shard)):
         mult = wanted.get(key)
         if mult:
             yield rows, mult
+
+
+def _swept_weights(blocks: ImplicitBlocks) -> dict:
+    """Multiplicity by label key of the block orbits found by the k-subspace sweep."""
+    return {key: w for key, w in _orbit_weights(blocks).items() if key[0] != "line"}
+
+
+def _check_sweep_budget(design: DesignInstance, budget: int) -> None:
+    """Raise if expanding the design would sweep more than budget k-subspaces."""
+    blocks = design.blocks
+    if isinstance(blocks, ImplicitBlocks) and _swept_weights(blocks):
+        total = gaussian_binomial(design.v, blocks.k, design.q)
+        if total > budget:
+            raise ValueError(
+                f"expansion needs a sweep over {total} subspaces (budget {budget}); "
+                "use sampled verification")
 
 
 def _block_orbits(blocks: ImplicitBlocks) -> tuple[LabelWeight, ...]:
@@ -278,9 +295,9 @@ def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int
         yield span[c1], span[c2]
 
 
-def _sweep_chunk(args) -> tuple[Counter, int]:
+def _sweep_chunk(items: Iterable[tuple[tuple[int, ...], int]], q: int,
+                 v: int) -> tuple[Counter, int]:
     """Pair-key tally and block count of (rows, multiplicity) items."""
-    items, q, v = args
     counts: Counter = Counter()
     n_blocks = 0
     for rows, mult in items:
@@ -290,31 +307,52 @@ def _sweep_chunk(args) -> tuple[Counter, int]:
     return counts, n_blocks
 
 
+def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
+                 budget: int) -> tuple[list, list, list, int]:
+    """A pool worker of coverage_counter: the pair tally of one shard of the blocks.
+
+    It takes the design itself, so it runs under any start method, and
+    reads expand_blocks from this module at call time.  The tally goes back
+    as flat int lists (first key rows, second key rows, counts) and the
+    block count: ints pickle with no memo entry, where each key tuple
+    would take one.
+    """
+    counts, n_blocks = _sweep_chunk(expand_blocks(design, budget, shard),
+                                    design.q, design.v)
+    return [a for a, _ in counts], [b for _, b in counts], list(counts.values()), n_blocks
+
+
 def coverage_counter(design: DesignInstance, threads: int = 1,
                      budget: int = EXPANSION_BUDGET) -> tuple[Counter, int]:
     """Pair-coverage counter and block count by full expansion.
 
-    threads > 1 splits the blocks over at most os.cpu_count() processes.
+    threads > 1 runs one process per shard of expand_blocks, at most
+    os.cpu_count() of them; each expands, keys and tallies its own blocks,
+    and only the tallies come back, summed in shard order.  The budget is
+    checked here, before any process starts.
     """
-    q, v = design.q, design.v
-    expanded = expand_blocks(design, budget=budget)
+    _check_sweep_budget(design, budget)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _sweep_chunk((expanded, q, v))
-    blocks = list(expanded)
-    chunk_size = max(1, (len(blocks) + workers - 1) // workers)
-    chunks = [(blocks[i:i + chunk_size], q, v)
-              for i in range(0, len(blocks), chunk_size)]
-    counts: Counter = Counter()
-    n_blocks = 0
+        return _sweep_chunk(expand_blocks(design, budget), design.q, design.v)
+    shards = [(i, workers) for i in range(workers)]
+    sweep = partial(_sweep_shard, design, budget=budget)
     try:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, n in pool.map(_sweep_chunk, chunks):
-                counts.update(part)
-                n_blocks += n
+            return _merge_tallies(pool.map(sweep, shards))
     except OSError:  # pragma: no cover - process pools unavailable
-        return _sweep_chunk((blocks, q, v))
+        return _merge_tallies(map(sweep, shards))
+
+
+def _merge_tallies(parts: Iterable[tuple[list, list, list, int]]) -> tuple[Counter, int]:
+    """Sum the flat tallies of _sweep_shard into one pair-key counter and block count."""
+    counts: Counter = Counter()
+    n_blocks = 0
+    for firsts, seconds, values, n in parts:
+        for key, c in zip(zip(firsts, seconds), values):
+            counts[key] += c
+        n_blocks += n
     return counts, n_blocks
 
 
@@ -503,10 +541,12 @@ def verify_gdd(design: DesignInstance, mode: str = "full",
                          threads=threads, budget=budget)
 
 
-def _group_index(q: int, v: int, groups: Sequence[Subspace]) -> dict[int, int]:
+@lru_cache(maxsize=1)  # the loader's check and the verification share one build
+def _group_index(q: int, v: int, groups: tuple[Subspace, ...]) -> dict[int, int]:
     """Index of the group holding each nonzero vector of GF(q)^v.
 
-    Raises unless the groups partition the nonzero vectors.
+    Raises unless the groups partition the nonzero vectors.  The dict is
+    cached and shared: do not change it.
     """
     if sum(q ** g.dim - 1 for g in groups) != q ** v - 1:
         raise ValueError("groups do not cover the 1-subspaces exactly once")
@@ -782,7 +822,7 @@ def _check_hole_restriction(q: int, n: int, k: int, hole: Subspace,
         if inside:
             raise ValueError("blocks inside a hole of dimension < 2")
         return
-    counts, _ = _sweep_chunk((inside, q, hole.v))
+    counts, _ = _sweep_chunk(inside, q, hole.v)
     for key in block_pair_keys(hole.rows, q, hole.v):
         if counts.get(key, 0) != lam:
             raise ValueError(

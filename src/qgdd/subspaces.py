@@ -270,22 +270,32 @@ def canonicalize(vectors: Sequence[Sequence[int]], q: int,
     return Subspace.span(q, v, (pack_coords(vec, q) for vec in vectors))
 
 
-def iter_rref_bases(v: int, d: int, q: int) -> Iterator[tuple[int, ...]]:
+def iter_rref_bases(v: int, d: int, q: int,
+                    shard: tuple[int, int] = (0, 1)) -> Iterator[tuple[int, ...]]:
     """All canonical d-subspace bases of GF(q)^v, packed rows.
 
     Deterministic order: pivot-column sets lexicographically, then free
-    entries per row in little-endian field-element order.
+    entries per row in little-endian field-element order.  The stream is
+    cut into units, one per pivot-column set and completion of its first
+    row, numbered in that order; shard (i, n) yields the units j with
+    j % n == i, each in the order above, so the n shards partition the
+    stream and (0, 1) is all of it.
     """
+    i, n = shard
     if not 0 <= d <= v:
         raise ValueError("need 0 <= d <= v")
+    if not 0 <= i < n:
+        raise ValueError(f"shard {shard} needs 0 <= i < n")
     if d == 0:
-        yield ()
+        if i == 0:
+            yield ()
         return
     qpow = [q ** j for j in range(v)]
+    unit = 0  # number of the first unit of this pivot set
     for pivots in itertools.combinations(range(v), d):
         pivot_set = set(pivots)
         per_row: list[list[int]] = []
-        for i, p in enumerate(pivots):
+        for p in pivots:
             free = [j for j in range(p + 1, v) if j not in pivot_set]
             completions = []
             for values in itertools.product(range(q), repeat=len(free)):
@@ -294,6 +304,9 @@ def iter_rref_bases(v: int, d: int, q: int) -> Iterator[tuple[int, ...]]:
                     row += c * qpow[j]
                 completions.append(row)
             per_row.append(completions)
+        first = per_row[0]
+        per_row[0] = first[(i - unit) % n::n]
+        unit += len(first)
         yield from itertools.product(*per_row)
 
 

@@ -241,6 +241,20 @@ def test_verify_threads_agree(tmp_path, capsys):
     assert out1 == out8
 
 
+def test_verify_over_budget_same_exit_at_any_threads(tmp_path, capsys):
+    # [10,3]_2 = 6347715 blocks to sweep, past EXPANSION_BUDGET; the pairs are not
+    out_file = tmp_path / "g.json"
+    run_cli(["build-gdd", "--m", "2", "--l", "5", "--k", "3", "--q", "2",
+             "--select", "2,1=1", "--out", str(out_file)], capsys)
+    got = [run_cli(["verify", "--in", str(out_file), "--threads", t], capsys)
+           for t in ("1", "2")]
+    assert got[0] == got[1]
+    code, out, err = got[0]
+    assert code == 2 and out == ""
+    assert err == ("error: expansion needs a sweep over 6347715 subspaces "
+                   "(budget 2000000); use sampled verification\n")
+
+
 def test_build_gdd_file_bytes_stable(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",

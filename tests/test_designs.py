@@ -612,6 +612,22 @@ def test_gdd_groups_partition_enforced(gdd633):
         design_from_json_dict(data)
 
 
+def test_gdd_groups_overlap_rejected_every_time(gdd633):
+    data = design_to_json_dict(gdd633)
+    data["groups"][-1] = data["groups"][0]  # sizes still add up
+    for _ in range(2):  # a failed build is not cached
+        with pytest.raises(ValueError, match="overlap"):
+            design_from_json_dict(data)
+
+
+def test_group_index_built_once_per_loaded_gdd(gdd633):
+    designs._group_index.cache_clear()
+    loaded = design_from_json_dict(design_to_json_dict(gdd633))
+    assert verify_design(loaded, mode="sampled", sample=20, seed=1).passed
+    info = designs._group_index.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 # -- the vector -> group index ---------------------------------------------------------
 
 @pytest.mark.parametrize("case", [(2, 3, 2), (2, 3, 3), (2, 4, 2), "mixed-dim"])
@@ -840,6 +856,85 @@ def test_span1_coverage_k4_is_the_r1_diagonal():
     assert atlas.label_key_rows(rows) == ("line", 2, r1.rep_rows)
     got = _cover(_ImplicitCoverage(design), rows)
     assert got == _fresh_coverage(design, rows) == 2 * diagonal_entry(3, 4, 4, 2)
+
+
+# Small designs of every block source: mixed labels at q = 2 and 3, line
+# labels (a build_pbd output) and explicit blocks (a supplement).
+SHARD_DESIGNS = {
+    "gdd633": lambda: build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1})),
+    "gdd6324-q3": lambda: build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1})),
+    "pbd-line-labels": lambda: build_pbd(complete_design(3, 2, 2), 2, 3,
+                                         GddSelection.of({(2, 3): 1})),
+    "supplement-633": lambda: supplementary(
+        build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1}))),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SHARD_DESIGNS))
+def shard_design(request):
+    return SHARD_DESIGNS[request.param]()
+
+
+def test_expand_blocks_shards_partition_the_blocks(shard_design):
+    whole = list(expand_blocks(shard_design))
+    assert list(expand_blocks(shard_design, shard=(0, 1))) == whole
+    for n in range(2, 6):
+        union = Counter()
+        for i in range(n):
+            for rows, mult in expand_blocks(shard_design, shard=(i, n)):
+                union[rows] += mult
+        assert union == _multiset(whole)
+
+
+def _multiset(items):
+    out = Counter()
+    for rows, mult in items:
+        out[rows] += mult
+    return out
+
+
+def test_coverage_counter_threads_agree(shard_design):
+    serial = coverage_counter(shard_design, threads=1)
+    assert coverage_counter(shard_design, threads=2) == serial
+    assert serial[1] == block_count(shard_design)
+
+
+def test_coverage_counter_threads_omega():
+    # the span-k orbit at (9,3,3)_2 (criterion 5's design): its full sweep
+    # takes seconds, so the two shards are checked against the closed form
+    g = build_gdd(3, 3, 3, 2, GddSelection.of({}, omega_kk=True))
+    counts, n_blocks = coverage_counter(g, threads=2)
+    assert n_blocks == block_count(g) == 686784
+    assert len(counts) == 42924 and set(counts.values()) == {112}
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_coverage_counter_threads_under_start_method(method, monkeypatch):
+    # workers get the design as an argument, so no start method needs fork
+    import concurrent.futures
+    import multiprocessing
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    real = concurrent.futures.ProcessPoolExecutor
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: real(max_workers, mp_context=context))
+    design = SHARD_DESIGNS["pbd-line-labels"]()
+    assert coverage_counter(design, threads=2) == coverage_counter(design, threads=1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_over_budget_sweep_fails_before_any_pool(gdd633, monkeypatch, threads):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool started for an over-budget sweep")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=r"sweep over 1395 subspaces \(budget 1000\)"):
+        coverage_counter(gdd633, threads=threads, budget=1000)
+    with pytest.raises(ValueError, match=r"sweep over 1395 subspaces \(budget 1000\)"):
+        verify_gdd(gdd633, mode="full", threads=threads, budget=1000)
 
 
 def test_coverage_counter_caps_workers_at_cpu_count(gdd633, monkeypatch):

@@ -124,6 +124,40 @@ def test_enumerate_total(q, v, d):
     assert sum(1 for _ in iter_rref_bases(v, d, q)) == gaussian_binomial(v, d, q)
 
 
+@pytest.mark.parametrize("q,v,d", [(2, 6, 3), (3, 4, 2), (2, 5, 1), (4, 4, 2),
+                                   (2, 4, 4), (2, 3, 0)])
+def test_rref_shards_partition_the_stream(q, v, d):
+    stream = list(iter_rref_bases(v, d, q))
+    assert list(iter_rref_bases(v, d, q, (0, 1))) == stream
+    for n in range(1, 6):
+        shards = [list(iter_rref_bases(v, d, q, (i, n))) for i in range(n)]
+        assert sorted(sum(shards, [])) == sorted(stream)
+        # each shard keeps the order of the whole stream
+        at = {rows: j for j, rows in enumerate(stream)}
+        assert all([at[rows] for rows in shard] == sorted(at[rows] for rows in shard)
+                   for shard in shards)
+
+
+def test_rref_shards_deal_out_first_row_completions():
+    # one unit per pivot set and first-row completion, dealt round-robin
+    units = []
+    for rows in iter_rref_bases(5, 2, 2):
+        if not units or units[-1][0] != rows[0]:
+            units.append((rows[0], []))
+        units[-1][1].append(rows)
+    assert len(units) > 3
+    for i in range(3):
+        want = [rows for j, (_, members) in enumerate(units) if j % 3 == i
+                for rows in members]
+        assert list(iter_rref_bases(5, 2, 2, (i, 3))) == want
+
+
+@pytest.mark.parametrize("shard", [(1, 1), (-1, 2), (0, 0)])
+def test_rref_shard_out_of_range(shard):
+    with pytest.raises(ValueError):
+        list(iter_rref_bases(4, 2, 2, shard))
+
+
 def test_superspaces_count_and_filter():
     U = canonicalize([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)], 2)
     sup = list(superspaces(U, 3))
