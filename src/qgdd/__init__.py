@@ -7,9 +7,9 @@ from .incidence import (brute_force_matrix, closed_form_matrix,
                         verify_closed_form)
 from .designs import (DesignInstance, GddSelection, VerificationReport,
                       block_count, break_blocks, build_gdd, build_pbd,
-                      desarguesian_spread, design_from_json_dict,
-                      design_to_json_dict, expand_blocks, fill_holes,
+                      desarguesian_spread, expand_blocks, fill_holes,
                       gdd_lambda, supplementary, verify_design, verify_gdd)
+from .designfile import design_from_json_dict, design_to_json_dict
 from .singer import (HOrbit, SingerAction, h_incidence_matrix,
                      kramer_mesner_solve, moebius, n_orbits,
                      n_orbits_with_stabilizer, orbit_of,

@@ -124,63 +124,112 @@ class GlAtlas:
 
     def label_keys(self, bases: Iterable[Sequence[int]]
                    ) -> Iterator[tuple[Sequence[int], tuple]]:
-        """Stream (rows, label_key_rows(rows)) over a stream of bases.
+        """Stream (rows, label_key_rows(rows)) over a stream of nonempty bases.
 
         Consecutive bases from iter_rref_bases or iter_superspace_bases
-        mostly differ in their last row only.  The GF(q^l) echelon of every
-        prefix of the previous basis is kept, so each basis reduces only the
-        rows after the longest prefix it shares with the previous one.  A
-        basis of another length than the previous one starts afresh.
+        mostly differ in their last row only.  The rows before the last (the
+        prefix) are eliminated over GF(q^l) with a tracked transform, and the
+        echelon of every prefix of the previous basis is kept, so a basis
+        reduces only the prefix rows past the longest prefix it shares with
+        the previous one.  A basis of another length starts afresh.
+
+        The last row x is reduced as [x | e_(k-1)] against the prefix echelon
+        at width 0, so mid_reduce neither scales nor keeps it.  That reduction
+        red(x) is GF(q)-linear in x: while the prefix holds, red(x) = red(x')
+        + red([x - x' | 0]) for the previous last row x', and the second term
+        is memoized by x - x' until the prefix changes.  The first basis of a
+        prefix reduces its last row directly and the memo starts with the
+        second, so a stream whose prefixes never repeat makes one reduction
+        per basis, as without the step.  The key is read from red(x): a
+        nonzero residual (its first m entries) raises the prefix's rank by
+        one and gives one key per prefix; a zero residual keeps the rank, and
+        the transform is the first dependency if the prefix has none.  Only
+        rank 1 reads the rows' vectors (line_form).
         """
         tower = self.tower
         unflatten = lru_cache(maxsize=None)(tower.unflatten_packed)  # each row once
-        reduce = tower.mid_reduce
+        reduce, add, minus = tower.mid_reduce, tower.mid_add, tower.p - 1
         m = self.m
-        prev: list[int] = []      # rows of the previous basis
+        head = None     # the prefix of the previous basis
         vecs: list[tuple[int, ...]] = []
         echelon: list[tuple[int, list[int]]] = []
         deps: list[list[int]] = []
-        # (len(echelon), len(deps)) after each prefix of prev
+        # (len(echelon), len(deps)) after each prefix of head
         marks: list[tuple[int, int]] = [(0, 0)]
         memo: dict[tuple[int, ...], tuple] = {}
+        diffs: dict[tuple[int, int], tuple[int, ...]] = {}  # (x', x) -> x - x'
+        rank, last = 0, None  # the prefix's rank; the last row before, None on a new prefix
         for rows in bases:
-            k = len(rows)
-            shared = 0
-            if k == len(prev):
-                while shared < k and rows[shared] == prev[shared]:
-                    shared += 1
-            if shared < len(prev):
-                del prev[shared:], vecs[shared:], marks[shared + 1:]
-                n_ech, n_dep = marks[shared]
-                del echelon[n_ech:], deps[n_dep:]
-            for i in range(shared, k):
-                x = unflatten(rows[i])
-                # the input row followed by its transform, eliminated together
+            if rows[:-1] != head:
+                k = len(rows)
+                shared = 0
+                if len(vecs) == k - 1:
+                    while shared < k - 1 and rows[shared] == head[shared]:
+                        shared += 1
+                if shared < k - 1 or len(vecs) != k - 1:  # else only the type differs
+                    del vecs[shared:], marks[shared + 1:]
+                    n_ech, n_dep = marks[shared]
+                    del echelon[n_ech:], deps[n_dep:]
+                    for i in range(shared, k - 1):
+                        x = unflatten(rows[i])
+                        # the input row followed by its transform, eliminated together
+                        cur = list(x) + [0] * k
+                        cur[m + i] = 1
+                        dep = reduce(echelon, cur, m)
+                        if dep is not None:
+                            deps.append(dep[m:])
+                        vecs.append(x)
+                        marks.append((len(echelon), len(deps)))
+                    rank, last = len(echelon), None
+                head = rows[:-1]
+            row = rows[-1]
+            x = unflatten(row)
+            if last is None:
                 cur = list(x) + [0] * k
-                cur[m + i] = 1
-                dep = reduce(echelon, cur, m)
-                if dep is not None:
-                    deps.append(dep[m:])
-                prev.append(rows[i])
-                vecs.append(x)
-                marks.append((len(echelon), len(deps)))
-            yield rows, self._key_of(vecs, len(echelon), deps, memo)
+                cur[-1] = 1
+                red = reduce(echelon, cur, 0)
+                steps = own = None
+            else:
+                if steps is None:
+                    steps = {}
+                pair = (last, row)
+                diff = diffs.get(pair)
+                if diff is None:
+                    diff = diffs[pair] = tuple(add(x, last_x, minus))
+                step = steps.get(diff)
+                if step is None:
+                    step = steps[diff] = reduce(echelon, list(diff) + [0] * k, 0)
+                red = add(red, step)
+            last, last_x = row, x
+            if any(red[:m]):
+                # x is off the prefix's span, so the rank is rank + 1: that is 1
+                # only at k = 1 (full), as no row of a basis is 0, so the key
+                # depends on the prefix alone
+                if own is None:
+                    own = self._key_of(vecs, x, rank + 1, deps[0] if deps else None, memo)
+                yield rows, own
+            elif deps:  # rank < k - 1
+                yield rows, self._key_of(vecs, x, rank, deps[0], memo)
+            else:  # rank = k - 1, and the transform is the first dependency
+                dep = tuple(red[m:])
+                yield rows, memo.get(dep) or self._key_of(vecs, x, rank, dep, memo)
 
-    def _key_of(self, vecs: Sequence[Sequence[int]], rank: int,
-                deps: Sequence[Sequence[int]], memo: dict) -> tuple:
-        """Label key of a basis from its GF(q^l) rank and first dependency.
+    def _key_of(self, vecs: Sequence[Sequence[int]], x: Sequence[int], rank: int,
+                dep: Sequence[int] | None, memo: dict) -> tuple:
+        """Label key of the basis of vectors vecs + [x], from its GF(q^l) rank
+        and first dependency.
 
         memo maps a dependency (length k, so it fixes k) to its mixed key.
         """
-        k = len(vecs)
+        k = len(vecs) + 1
         if rank == k:
             return ("full", k)
         if rank == 1:
-            key = self.line_form(vecs)
+            key = self.line_form([*vecs, x])
             assert len(key) == k, "line-class ratios must stay independent"
             return ("line", k, self.singer.orbit_containing(key).rep.rows)
         if rank == k - 1:
-            dep = tuple(deps[0])
+            dep = tuple(dep)
             out = memo.get(dep)
             if out is None:
                 # the relation among the inputs spans 1 and the mixing coefficients

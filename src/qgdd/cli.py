@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .atlas import check_block_dim, gl_atlas, gl_order
 from .incidence import brute_force_matrix, closed_form_matrix
+from .designfile import design_from_json_dict, design_to_json_dict
 from .designs import (DesignInstance, GddSelection, block_count, build_gdd,
-                      build_pbd, design_from_json_dict, design_to_json_dict,
-                      fill_holes, supplementary, verify_design, verify_gdd)
+                      build_pbd, fill_holes, supplementary, verify_design,
+                      verify_gdd)
 from .singer import (h_incidence_matrix, kramer_mesner_solve, n_orbits,
                      n_orbits_with_stabilizer, singer_action)
 from .subspaces import Subspace, gaussian_binomial

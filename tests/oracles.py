@@ -4,8 +4,9 @@ Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
 orders, addition one coordinate and one digit at a time, GF(q)-vector
 arithmetic and row reduction one coordinate at a time, GF(q)-combinations
-one coefficient at a time, containment by rank, and Singer incidence by
-cycling an orbit and testing containment.
+one coefficient at a time, containment by rank, orbit labels by eliminating
+every row of every basis, and Singer incidence by cycling an orbit and
+testing containment.
 """
 
 from __future__ import annotations
@@ -198,6 +199,46 @@ def fill_holes_blocks(gdd_blocks, groups, master_blocks, hole: Subspace,
     for rows, mult in inside:
         add([combine(hole_coords(hole, r), hole_images, ops_out) for r in rows],
             mult)
+    return out
+
+
+# -- orbit labels ------------------------------------------------------------------
+
+def label_keys_by_elimination(atlas, bases) -> list[tuple]:
+    """(rows, key) for each basis, every row of every basis reduced afresh.
+
+    Each row x_i, unflattened to GF(q^l)^m, is eliminated as [x_i | e_i]
+    against the rows before it, so a dependent row leaves its relation to the
+    earlier rows in the transform.  The key follows from the GF(q^l) rank
+    and the first relation: full, line (line_form, then its Singer orbit),
+    mixed (the Singer orbit of the span of the relation's coefficients) or
+    ("other", k, rank).
+    """
+    tower, m = atlas.tower, atlas.m
+    mid_to_pow = tower.ext.mid_to_pow
+    ops_l = vector_ops(atlas.q, atlas.l)
+    out = []
+    for rows in bases:
+        k = len(rows)
+        vecs = [tower.unflatten_packed(r) for r in rows]
+        echelon, deps = [], []
+        for i, x in enumerate(vecs):
+            cur = list(x) + [0] * k
+            cur[m + i] = 1
+            dep = tower.mid_reduce(echelon, cur, m)
+            if dep is not None:
+                deps.append(dep[m:])
+        rank = len(echelon)
+        if rank == k:
+            key = ("full", k)
+        elif rank == 1:
+            key = ("line", k, atlas.singer.orbit_containing(atlas.line_form(vecs)).rep.rows)
+        elif rank == k - 1:
+            span = ops_l.rref([mid_to_pow[c] for c in deps[0]])
+            key = ("mixed", k, len(span) - 1, atlas.singer.orbit_containing(span).rep.rows)
+        else:
+            key = ("other", k, rank)
+        out.append((rows, key))
     return out
 
 

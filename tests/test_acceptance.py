@@ -11,9 +11,10 @@ import pytest
 from qgdd.atlas import gl_atlas, gl_order
 from qgdd.designs import (DesignInstance, GddSelection, ImplicitBlocks,
                           block_count, break_blocks, build_gdd, build_pbd,
-                          coverage_counter, design_to_json_dict, expand_blocks,
+                          coverage_counter, expand_blocks,
                           fill_holes, make_explicit,
                           supplementary, verify_design, verify_gdd)
+from qgdd.designfile import design_to_json_dict
 from qgdd.incidence import closed_form_matrix, span1_row_entry, verify_closed_form
 from qgdd.singer import n_orbits, n_orbits_with_stabilizer, singer_action
 from qgdd.subspaces import gaussian_binomial, intersection_dim, iter_rref_bases, Subspace

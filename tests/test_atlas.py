@@ -10,8 +10,8 @@ from qgdd.fields import FieldTower
 from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
                             iter_superspace_bases, vector_ops)
 
-from oracles import (apply_matrix, column_independence_criterion, mixing_matrix,
-                     random_gl)
+from oracles import (apply_matrix, column_independence_criterion,
+                     label_keys_by_elimination, mixing_matrix, random_gl)
 
 
 @pytest.fixture(scope="module")
@@ -256,10 +256,6 @@ def test_span_class_partition_m3():
     assert sum(map(at.label_orbit_size, at.orbit_labels(3))) == 788035
 
 
-def _oracle_stream(at, bases):
-    return [(b, at.label_key_rows(b)) for b in bases]
-
-
 def _superspace_streams(at, k):
     return [list(iter_superspace_bases(at.realize(lb), k))
             for lb in at.orbit_labels(2)]
@@ -267,29 +263,29 @@ def _superspace_streams(at, k):
 
 def test_label_keys_match_oracle_on_sweep(at23):
     bases = list(iter_rref_bases(6, 3, 2))
-    assert list(at23.label_keys(bases)) == _oracle_stream(at23, bases)
+    assert list(at23.label_keys(bases)) == label_keys_by_elimination(at23, bases)
 
 
-@pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4)])
+@pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9)])
 def test_label_keys_match_oracle_on_superspaces(m, l, q):
+    # GF(9^3) is above TABLE_CAP: mid_reduce and mid_add use field operations
     at = gl_atlas(m, l, q)
     kinds = set()
     for bases in _superspace_streams(at, 3):
         got = list(at.label_keys(iter(bases)))
-        assert got == _oracle_stream(at, bases)
+        assert got == label_keys_by_elimination(at, bases)
         kinds.update(key[0] for _, key in got)
     assert {"line", "mixed"} <= kinds
     assert ("full" in kinds) == (m >= 3)
 
 
-def _prefix_sharing_stream(pick, n_bases):
-    """Bases of GF(2)^8 (m=2, l=4), each keeping a prefix of the last.
+def _prefix_sharing_stream(at, pick, n_bases):
+    """Bases of GF(q)^(ml), each keeping a prefix of the last.
 
-    New rows are random or GF(16)-multiples of the first row's vector, so
+    New rows are random or GF(q^l)-multiples of the first row's vector, so
     the stream reaches the line, mixed, full and unclassified classes.
     """
-    at = gl_atlas(2, 4, 2)
-    tower, ops = at.tower, vector_ops(2, 8)
+    tower, ops = at.tower, vector_ops(at.q, at.v)
     stream, prev = [], ()
     for _ in range(n_bases):
         keep = pick(0, len(prev))
@@ -299,11 +295,11 @@ def _prefix_sharing_stream(pick, n_bases):
             if len(rows) == k:
                 break
             if rows and pick(0, 1):
-                c = pick(1, 15)
+                c = pick(1, at.Q - 1)
                 x = tower.unflatten_packed(rows[0])
                 row = tower.flatten_packed([tower.mid.mul(c, a) for a in x])
             else:
-                row = pick(1, 255)
+                row = pick(1, at.q ** at.v - 1)
             if ops.rank(rows + [row]) == len(rows) + 1:
                 rows.append(row)
         prev = tuple(rows)
@@ -316,16 +312,16 @@ def _prefix_sharing_stream(pick, n_bases):
 def test_label_keys_match_oracle_on_prefix_sharing_streams(data):
     def pick(lo, hi):
         return data.draw(st.integers(lo, hi))
-    stream = _prefix_sharing_stream(pick, data.draw(st.integers(1, 12)))
-    at = gl_atlas(2, 4, 2)
-    assert list(at.label_keys(iter(stream))) == _oracle_stream(at, stream)
+    at = gl_atlas(*data.draw(st.sampled_from([(2, 4, 2), (2, 3, 3), (2, 3, 4)])))
+    stream = _prefix_sharing_stream(at, pick, data.draw(st.integers(1, 12)))
+    assert list(at.label_keys(iter(stream))) == label_keys_by_elimination(at, stream)
 
 
 def test_label_keys_prefix_sharing_reaches_every_class():
     at = gl_atlas(2, 4, 2)
-    stream = _prefix_sharing_stream(Random(5).randint, 400)
+    stream = _prefix_sharing_stream(at, Random(5).randint, 400)
     got = list(at.label_keys(iter(stream)))
-    assert got == _oracle_stream(at, stream)
+    assert got == label_keys_by_elimination(at, stream)
     assert {key[0] for _, key in got} == {"line", "mixed", "full", "other"}
     # prefixes shared by consecutive bases of one length: every length occurs
     shared = {next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), len(x))
@@ -356,6 +352,65 @@ def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
     assert sum(1 for _ in at.label_keys(iter(bases + bases))) == 2 * len(bases)
     assert len(reductions) <= 2 * len(bases) + len(prefixes) + 2
     assert sorted(calls) == sorted({r for b in bases for r in b})
+
+
+@pytest.mark.parametrize("m,l,q,k", [(2, 4, 2, 3), (2, 3, 3, 3)])
+def test_label_keys_match_oracle_on_full_sweeps(m, l, q, k):
+    # the (8,3)_2 and (6,3)_3 sweeps of full-gf2 and odd-q3, whole and in shards
+    at, v = gl_atlas(m, l, q), m * l
+    want = label_keys_by_elimination(at, iter_rref_bases(v, k, q))
+    assert list(at.label_keys(iter_rref_bases(v, k, q))) == want
+    key_of = dict(want)
+    for n in (2, 3):
+        for i in range(n):
+            bases = list(iter_rref_bases(v, k, q, shard=(i, n)))
+            assert list(at.label_keys(iter(bases))) == [(b, key_of[b]) for b in bases]
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["row0", "span2"])
+def test_label_keys_match_oracle_on_k4_rows(row):
+    # the 4-superspaces of a span-1 and of the span-2 row of (3,4,4,2),
+    # 174251 each: the stream of incidence-k4 and of acceptance criterion 3
+    at = gl_atlas(3, 4, 2)
+    bases = list(iter_superspace_bases(at.realize(at.orbit_labels(2)[row]), 4))
+    assert list(at.label_keys(iter(bases))) == label_keys_by_elimination(at, bases)
+
+
+def test_label_keys_match_oracle_on_mixed_lengths():
+    # runs of 1..4-subspaces of GF(3)^6 cut into chunks and dealt out in
+    # turn, so the basis length changes in the middle of prefix runs
+    at, rng = gl_atlas(2, 3, 3), Random(7)
+    sweeps = [list(iter_rref_bases(6, d, 3))[:3000] for d in (1, 2, 3, 4)]
+    stream = []
+    while any(sweeps):
+        for sweep in sweeps:
+            cut = rng.randint(1, 60)
+            stream += sweep[:cut]
+            del sweep[:cut]
+    assert {len(b) for b in stream} == {1, 2, 3, 4}
+    got = list(at.label_keys(iter(stream)))
+    assert got == label_keys_by_elimination(at, stream)
+    assert {key[0] for _, key in got} == {"line", "mixed", "full", "other"}
+
+
+def test_label_keys_reduces_last_rows_by_linearity(monkeypatch):
+    # one reduction per prefix row, per run of bases sharing a prefix and per
+    # new last-row difference in the run: 1346 on the 2667 4-superspaces of a
+    # (3,3,2) row; one reduction per basis, as without the linear step, is 2990
+    at = gl_atlas(3, 3, 2)
+    bases = list(iter_superspace_bases(at.realize(at.orbit_labels(2)[0]), 4))
+    assert len(bases) == 2667
+    want = label_keys_by_elimination(at, bases)
+    reductions = []
+    reduce = FieldTower.mid_reduce
+
+    def counted_reduce(self, *args):
+        reductions.append(1)
+        return reduce(self, *args)
+
+    monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
+    assert list(at.label_keys(iter(bases))) == want
+    assert len(reductions) <= 1400
 
 
 SWEEP_LIMIT = 100_000  # sweep a dimension only when it has at most this many subspaces

@@ -265,7 +265,7 @@ def test_build_gdd_file_bytes_stable(tmp_path, capsys):
 
 
 def _write_complete_design(path, v, k, q, mult=1):
-    from qgdd.designs import design_to_json_dict
+    from qgdd.designfile import design_to_json_dict
     from test_designs import complete_design
     path.write_text(json.dumps(design_to_json_dict(
         complete_design(v, k, q, mult)), indent=2, sort_keys=True))
@@ -421,7 +421,8 @@ def test_verify_implicit_without_labels_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("sample", [[], ["--sample", "40"]], ids=["full", "sampled"])
 @pytest.mark.parametrize("claim,code", [(0, 0), (6, 1)])
 def test_verify_point_blocks(tmp_path, capsys, sample, claim, code):
-    from qgdd.designs import DesignInstance, design_to_json_dict, make_explicit
+    from qgdd.designfile import design_to_json_dict
+    from qgdd.designs import DesignInstance, make_explicit
     from qgdd.subspaces import iter_rref_bases
     design = DesignInstance(
         q=3, v=3, kind="design", K=(1,), claimed_lambda=claim,
@@ -525,8 +526,9 @@ def test_closed_pipe_ends_quietly():
 
 def _robustness_bases():
     """(name, JSON object, verify options): valid q = 2 and q = 3 design files."""
+    from qgdd.designfile import design_to_json_dict
     from qgdd.designs import (DesignInstance, GddSelection, build_gdd,
-                              design_to_json_dict, make_explicit, supplementary)
+                              make_explicit, supplementary)
     from qgdd.subspaces import enumerate_subspaces
     gdd2 = build_gdd(2, 3, 3, 2, GddSelection.of({(2, 3): 1}))
     gdd3 = build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1}))
@@ -585,7 +587,7 @@ def test_verify_mutated_design_files(case):
     import contextlib
     import io
     import tempfile
-    from qgdd.designs import design_from_json_dict
+    from qgdd.designfile import design_from_json_dict
     name, data, opts = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"{name}.json"

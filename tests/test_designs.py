@@ -10,11 +10,11 @@ from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           ImplicitBlocks, LabelWeight, block_count,
                           block_pair_keys, break_blocks, build_gdd, build_pbd,
                           coverage_counter, desarguesian_spread,
-                          design_from_json_dict, design_to_json_dict,
                           expand_blocks, fill_holes, gdd_lambda,
                           h_orbit_decomposition, make_explicit,
                           supplementary, verify_design,
                           verify_gdd)
+from qgdd.designfile import design_from_json_dict, design_to_json_dict
 from qgdd.subspaces import (Subspace, gaussian_binomial, intersection_dim,
                             iter_rref_bases)
 
@@ -506,7 +506,7 @@ def test_json_rejects_non_positive_explicit_multiplicity():
 
 
 def test_orbit_rep_check_rejects_unknown_rows():
-    from qgdd.designs import _singer_orbit
+    from qgdd.designfile import _singer_orbit
     assert _singer_orbit(2, 3, (1,)).rep.rows == (1,)
     assert _singer_orbit(2, 3, (2,)).rep.rows == (1,)
     with pytest.raises(ValueError, match="do not index a Singer orbit"):

@@ -1,4 +1,5 @@
 import time
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,19 @@ def test_elimination_tables_cap():
     assert build_tower(2, 1, 9, 2).elimination_tables == (None, None)
     assert build_tower(3, 1, 5, 2).elimination_tables[1] is not None
     assert build_tower(3, 1, 6, 2).elimination_tables == (None, None)
+
+
+@pytest.mark.parametrize("p,e,l", [(2, 1, 4), (2, 1, 9), (3, 1, 3), (3, 2, 3)])
+def test_mid_add_matches_field_arithmetic(p, e, l):
+    """a + c*b for c = 1 and c = -1: XOR, the tables, and field operations above the cap."""
+    tower, rng = build_tower(p, e, l, 2), Random(p * 100 + e * 10 + l)
+    mid = tower.mid
+    for _ in range(200):
+        a = [rng.randrange(tower.Q) for _ in range(5)]
+        b = [rng.randrange(tower.Q) for _ in range(5)]
+        for c in (1, p - 1):
+            assert tower.mid_add(a, b, c) == [mid.add(x, mid.mul(c, y)) for x, y in zip(a, b)]
+        assert tower.mid_add(tower.mid_add(a, b), b, p - 1) == a
 
 
 def _combination(mid, coef, vecs):
