@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import xor
 from typing import Iterable, Iterator, Sequence
 
-from .fields import FieldTower, build_tower, prime_power, unpack_coords
+from .fields import FieldTower, build_tower, pack_coords, prime_power, unpack_coords
 from .singer import SingerAction, singer_action
 from .subspaces import Subspace, vector_ops
 
@@ -135,29 +136,63 @@ class GlAtlas:
 
         The last row x is reduced as [x | e_(k-1)] against the prefix echelon
         at width 0, so mid_reduce neither scales nor keeps it.  That reduction
-        red(x) is GF(q)-linear in x: while the prefix holds, red(x) = red(x')
-        + red([x - x' | 0]) for the previous last row x', and the second term
-        is memoized by x - x' until the prefix changes.  The first basis of a
-        prefix reduces its last row directly and the memo starts with the
-        second, so a stream whose prefixes never repeat makes one reduction
-        per basis, as without the step.  The key is read from red(x): a
-        nonzero residual (its first m entries) raises the prefix's rank by
-        one and gives one key per prefix; a zero residual keeps the rank, and
-        the transform is the first dependency if the prefix has none.  Only
-        rank 1 reads the rows' vectors (line_form).
+        red(x) is GF(q)-linear in x, and so is unflattening x: while the
+        prefix holds, red(x) = red(x') + red([x - x' | 0]) for the previous
+        last row x', with x - x' taken on the packed GF(q)^v rows and the
+        second term memoized by x - x' until the prefix changes.  Once a
+        prefix repeats, red(x) is kept as one int, its m + k GF(q^l) entries
+        as base-Q digits; a GF(q^l) element is a base-p digit string, so
+        adding such ints is VectorOps' digit-wise GF(p) addition, XOR at
+        p = 2.  So only the prefix rows, the first last row of a prefix and
+        the differences are unflattened, each value once, and a stream whose
+        prefixes never repeat packs nothing but dependencies.  The key is
+        read from red(x): a nonzero residual (its first m entries, red % Q^m)
+        raises the prefix's rank by one and gives one key per prefix; a zero
+        residual keeps the rank, and the transform (red // Q^m) is the first
+        dependency if the prefix has none.  Its top digit is the e_(k-1)
+        coefficient 1, so the packed dependency fixes k and keys the
+        mixed-key memo, unpacked only on a miss.  Only rank 1 reads the last
+        row's vector (line_form).
         """
-        tower = self.tower
-        unflatten = lru_cache(maxsize=None)(tower.unflatten_packed)  # each row once
-        reduce, add, minus = tower.mid_reduce, tower.mid_add, tower.p - 1
-        m = self.m
+        tower, Q, m = self.tower, self.Q, self.m
+        unflatten = lru_cache(maxsize=None)(tower.unflatten_packed)  # each value once
+        reduce, Qm = tower.mid_reduce, Q ** m
+        if tower.p == 2:
+            add = sub = xor
+        else:  # each difference of two rows computed once
+            ops = self._ops_v
+            add = ops.add
+            sub = lru_cache(maxsize=None)(lambda a, b: ops.sub_scaled(a, 1, b))
         head = None     # the prefix of the previous basis
         vecs: list[tuple[int, ...]] = []
         echelon: list[tuple[int, list[int]]] = []
-        deps: list[list[int]] = []
+        deps: list[tuple[int, ...]] = []
         # (len(echelon), len(deps)) after each prefix of head
         marks: list[tuple[int, int]] = [(0, 0)]
-        memo: dict[tuple[int, ...], tuple] = {}
-        diffs: dict[tuple[int, int], tuple[int, ...]] = {}  # (x', x) -> x - x'
+        # first dependency -> mixed key: a prefix row's (a tuple) or a last
+        # row's (packed, k digits)
+        memo: dict[tuple[int, ...] | int, tuple] = {}
+
+        def key_of(rank: int, dep: tuple[int, ...] | int | None) -> tuple:
+            """Key of the current basis from its GF(q^l) rank and first dependency."""
+            if rank == k:
+                return ("full", k)
+            if rank == 1:
+                key = self.line_form([*vecs, unflatten(row)])
+                assert len(key) == k, "line-class ratios must stay independent"
+                return ("line", k, self.singer.orbit_containing(key).rep.rows)
+            if rank == k - 1:
+                out = memo.get(dep)
+                if out is None:
+                    # the relation among the inputs spans 1 and the mixing coefficients
+                    mid_to_pow = tower.ext.mid_to_pow
+                    coeffs = unpack_coords(dep, Q, k) if isinstance(dep, int) else dep
+                    span = self._ops_l.rref([mid_to_pow[c] for c in coeffs])
+                    out = memo[dep] = ("mixed", k, len(span) - 1,
+                                       self.singer.orbit_containing(span).rep.rows)
+                return out
+            return ("other", k, rank)
+
         rank, last = 0, None  # the prefix's rank; the last row before, None on a new prefix
         for rows in bases:
             if rows[:-1] != head:
@@ -177,69 +212,40 @@ class GlAtlas:
                         cur[m + i] = 1
                         dep = reduce(echelon, cur, m)
                         if dep is not None:
-                            deps.append(dep[m:])
+                            deps.append(tuple(dep[m:]))
                         vecs.append(x)
                         marks.append((len(echelon), len(deps)))
                     rank, last = len(echelon), None
                 head = rows[:-1]
             row = rows[-1]
-            x = unflatten(row)
             if last is None:
-                cur = list(x) + [0] * k
+                cur = list(unflatten(row)) + [0] * k
                 cur[-1] = 1
-                red = reduce(echelon, cur, 0)
-                steps = own = None
+                red = reduce(echelon, cur, 0)  # packed once the prefix repeats
+                off, steps, own = any(red[:m]), None, None
             else:
                 if steps is None:
-                    steps = {}
-                pair = (last, row)
-                diff = diffs.get(pair)
-                if diff is None:
-                    diff = diffs[pair] = tuple(add(x, last_x, minus))
+                    steps, red = {}, pack_coords(red, Q)
+                diff = sub(row, last)
                 step = steps.get(diff)
                 if step is None:
-                    step = steps[diff] = reduce(echelon, list(diff) + [0] * k, 0)
+                    step = steps[diff] = pack_coords(
+                        reduce(echelon, list(unflatten(diff)) + [0] * k, 0), Q)
                 red = add(red, step)
-            last, last_x = row, x
-            if any(red[:m]):
+                off = red % Qm
+            last = row
+            if off:
                 # x is off the prefix's span, so the rank is rank + 1: that is 1
                 # only at k = 1 (full), as no row of a basis is 0, so the key
                 # depends on the prefix alone
                 if own is None:
-                    own = self._key_of(vecs, x, rank + 1, deps[0] if deps else None, memo)
+                    own = key_of(rank + 1, deps[0] if deps else None)
                 yield rows, own
             elif deps:  # rank < k - 1
-                yield rows, self._key_of(vecs, x, rank, deps[0], memo)
+                yield rows, key_of(rank, deps[0])
             else:  # rank = k - 1, and the transform is the first dependency
-                dep = tuple(red[m:])
-                yield rows, memo.get(dep) or self._key_of(vecs, x, rank, dep, memo)
-
-    def _key_of(self, vecs: Sequence[Sequence[int]], x: Sequence[int], rank: int,
-                dep: Sequence[int] | None, memo: dict) -> tuple:
-        """Label key of the basis of vectors vecs + [x], from its GF(q^l) rank
-        and first dependency.
-
-        memo maps a dependency (length k, so it fixes k) to its mixed key.
-        """
-        k = len(vecs) + 1
-        if rank == k:
-            return ("full", k)
-        if rank == 1:
-            key = self.line_form([*vecs, x])
-            assert len(key) == k, "line-class ratios must stay independent"
-            return ("line", k, self.singer.orbit_containing(key).rep.rows)
-        if rank == k - 1:
-            dep = tuple(dep)
-            out = memo.get(dep)
-            if out is None:
-                # the relation among the inputs spans 1 and the mixing coefficients
-                mid_to_pow = self.tower.ext.mid_to_pow
-                key = self._ops_l.rref([mid_to_pow[c] for c in dep])
-                out = ("mixed", k, len(key) - 1,
-                       self.singer.orbit_containing(key).rep.rows)
-                memo[dep] = out
-            return out
-        return ("other", k, rank)
+                dep = pack_coords(red[m:], Q) if steps is None else red // Qm
+                yield rows, memo.get(dep) or key_of(rank, dep)
 
     def line_form(self, vecs: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """Canonical rows of the W in GF(q^l) with span(vecs) = W.x, vecs in one line.

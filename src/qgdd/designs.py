@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
@@ -278,9 +278,10 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
 # pair keys and coverage sweeps
 
 @lru_cache(maxsize=None)
-def _coeff_pair_rows(d: int, q: int) -> tuple[tuple[int, int], ...]:
-    """Canonical coefficient bases of the 2-subspaces of GF(q)^d (none for d < 2)."""
-    return tuple(iter_rref_bases(d, 2, q)) if d >= 2 else ()
+def _coeff_pair_rows(d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First and second rows of the canonical coefficient bases of the
+    2-subspaces of GF(q)^d, in iter_rref_bases order (none for d < 2)."""
+    return tuple(zip(*iter_rref_bases(d, 2, q))) if d >= 2 else ((), ())
 
 
 def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int, int]]:
@@ -290,19 +291,26 @@ def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int
     canonical coefficient basis is the canonical basis of its image.
     """
     span = vector_ops(q, v).span(rows)
-    for c1, c2 in _coeff_pair_rows(len(rows), q):
-        yield span[c1], span[c2]
+    firsts, seconds = _coeff_pair_rows(len(rows), q)
+    yield from zip(map(span.__getitem__, firsts), map(span.__getitem__, seconds))
 
 
 def _sweep_chunk(items: Iterable[tuple[tuple[int, ...], int]], q: int,
                  v: int) -> tuple[Counter, int]:
-    """Pair-key tally and block count of (rows, multiplicity) items."""
-    counts: Counter = Counter()
+    """Pair-key tally and block count of (rows, multiplicity) items.
+
+    The blocks of one multiplicity are tallied together, one count per key
+    and block, and the tallies are summed with their multiplicities at the end.
+    """
+    by_mult: defaultdict[int, Counter] = defaultdict(Counter)
     n_blocks = 0
     for rows, mult in items:
         n_blocks += mult
-        for key in block_pair_keys(rows, q, v):
-            counts[key] += mult
+        by_mult[mult].update(block_pair_keys(rows, q, v))
+    counts = by_mult.pop(1, Counter())
+    for mult, tally in by_mult.items():
+        for key, c in tally.items():
+            counts[key] += c * mult
     return counts, n_blocks
 
 

@@ -3,24 +3,24 @@
 Field elements are ints in [0, p^e) encoding coefficient vectors over GF(p),
 constant coefficient in the least significant base-p digit.  Multiplication
 goes through log/antilog tables, so fields above 2^20 elements are rejected.
-GF(q^l) row reduction (`FieldTower.mid_reduce`) and row addition
-(`FieldTower.mid_add`) read per-scalar multiplication rows, plus an addition
-table at odd p, up to q^l = TABLE_CAP = 256; above, `FiniteField`.
+GF(q^l) row reduction (`FieldTower.mid_reduce`) reads per-scalar
+multiplication rows, plus an addition table at odd p, up to q^l = TABLE_CAP
+= 256; above, `FiniteField`.
 
 Vectors over GF(q) of length v are packed into a single int with base-q
 digits, coordinate 0 in the least significant digit.  For q = p^e a packed
 vector is therefore one base-p digit string, and adding vectors is the same
 digit-by-digit addition over GF(p) as adding field elements (`add_digits`);
-for characteristic 2 it is plain integer XOR.  `digit_add_table` tabulates
-that addition for values below a power of p; it serves both the GF(q^l)
-elimination tables and the chunk tables of `subspaces.VectorOps`, which
-share the cap TABLE_CAP.
+for characteristic 2 it is plain integer XOR.  So is adding rows of GF(q^l)
+elements packed as base-q^l digits (`atlas.GlAtlas.label_keys`).
+`digit_add_table` tabulates that addition for values below a power of p; it
+serves both the GF(q^l) elimination tables and the chunk tables of
+`subspaces.VectorOps`, which share the cap TABLE_CAP.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import xor
 from typing import Sequence
 
 _TABLE_LIMIT = 1 << 20
@@ -459,18 +459,6 @@ class FieldTower:
                                 else [mid.mul(inv, a) for a in cur]))
                 return None
         return cur
-
-    def mid_add(self, a: Sequence[int], b: Sequence[int], c: int = 1) -> list[int]:
-        """a + c*b entry by entry over GF(q^l), by mid_reduce's tables."""
-        mid = self.mid
-        scale, add = self.elimination_tables
-        if c != 1:
-            b = [scale[c][y] for y in b] if scale else [mid.mul(c, y) for y in b]
-        if self.p == 2:
-            return list(map(xor, a, b))
-        if add:
-            return [add[x][y] for x, y in zip(a, b)]
-        return [mid.add(x, y) for x, y in zip(a, b)]
 
     def __repr__(self) -> str:
         return f"FieldTower(GF({self.q}) < GF({self.q}^{self.l}), m={self.m})"

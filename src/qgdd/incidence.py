@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
+from operator import itemgetter
 
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
 from .matrices import LabeledIntMatrix
@@ -143,8 +144,7 @@ def closed_form_matrix(m: int, l: int, k: int, q: int) -> AkMatrix:
 
 def row_coverage(atlas: GlAtlas, realized: Subspace, k: int) -> Counter:
     """Label-key counts over all k-superspaces of a realized 2-subspace."""
-    return Counter(key for _, key in
-                   atlas.label_keys(iter_superspace_bases(realized, k)))
+    return Counter(map(itemgetter(1), atlas.label_keys(iter_superspace_bases(realized, k))))
 
 
 def brute_force_matrix(m: int, l: int, k: int, q: int,

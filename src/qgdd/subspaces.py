@@ -112,9 +112,9 @@ class VectorOps:
         row = scale[s]
         out, mult = 0, 1
         while a or b:
-            a, x = divmod(a, C)
-            b, y = divmod(b, C)
-            out += add[x][row[y]] * mult
+            out += add[a % C][row[b % C]] * mult
+            a //= C
+            b //= C
             mult *= C
         return out
 
@@ -169,14 +169,13 @@ class VectorOps:
         """
         q, tables = self.q, self.tables
         if self.p == 2 or tables is None:
-            out = [0] * q ** len(rows)
-            base = 1
+            out = [0]
             for r in rows:
-                for c in range(1, q):
-                    cr = self.smul(c, r)
-                    for mask in range(base):
-                        out[c * base + mask] = self.add(out[mask], cr)
-                base *= q
+                if q == 2:
+                    out += [x ^ r for x in out]
+                else:  # out plus each multiple c*r, c = 1..q-1
+                    multiples = [self.smul(c, r) for c in range(1, q)]
+                    out += [self.add(x, cr) for cr in multiples for x in out]
             return out
         C, n, add, scale = tables
         parts = []
@@ -270,6 +269,25 @@ def canonicalize(vectors: Sequence[Sequence[int]], q: int,
     return Subspace.span(q, v, (pack_coords(vec, q) for vec in vectors))
 
 
+def _completions(v: int, d: int, q: int,
+                 positions: Sequence[int]) -> Iterator[list[list[int]]]:
+    """Per pivot-column set of the canonical d-subspaces of GF(q)^v, in
+    lexicographic order, the completions of each row, coordinate j placed at
+    positions[j]: the pivot entry 1, the free entries in little-endian
+    field-element order."""
+    qpow = [q ** j for j in positions]
+    for pivots in itertools.combinations(range(v), d):
+        pivot_set = set(pivots)
+        per_row = []
+        for p in pivots:
+            free = [qpow[j] for j in range(p + 1, v) if j not in pivot_set]
+            completions = [0]
+            for step in free:
+                completions = [row + c * step for row in completions for c in range(q)]
+            per_row.append([qpow[p] + row for row in completions])
+        yield per_row
+
+
 def iter_rref_bases(v: int, d: int, q: int,
                     shard: tuple[int, int] = (0, 1)) -> Iterator[tuple[int, ...]]:
     """All canonical d-subspace bases of GF(q)^v, packed rows.
@@ -290,20 +308,8 @@ def iter_rref_bases(v: int, d: int, q: int,
         if i == 0:
             yield ()
         return
-    qpow = [q ** j for j in range(v)]
     unit = 0  # number of the first unit of this pivot set
-    for pivots in itertools.combinations(range(v), d):
-        pivot_set = set(pivots)
-        per_row: list[list[int]] = []
-        for p in pivots:
-            free = [j for j in range(p + 1, v) if j not in pivot_set]
-            completions = []
-            for values in itertools.product(range(q), repeat=len(free)):
-                row = qpow[p]
-                for j, c in zip(free, values):
-                    row += c * qpow[j]
-                completions.append(row)
-            per_row.append(completions)
+    for per_row in _completions(v, d, q, range(v)):
         first = per_row[0]
         per_row[0] = first[(i - unit) % n::n]
         unit += len(first)
@@ -322,28 +328,19 @@ def complement_positions(U: Subspace) -> list[int]:
     return [j for j in range(U.v) if j not in pivots]
 
 
-def lift_row(row: int, positions: Sequence[int], q: int) -> int:
-    """Spread the digits of a quotient row onto the given coordinate positions."""
-    if q == 2:
-        out = 0
-        while row:
-            low = row & -row
-            out |= 1 << positions[low.bit_length() - 1]
-            row ^= low
-        return out
-    coords = unpack_coords(row, q, len(positions))
-    return sum(c * q ** pos for pos, c in zip(positions, coords))
-
-
 def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:
-    """Bases (not canonicalized) of the k-superspaces of U, one per superspace."""
+    """Bases (not canonicalized) of the k-superspaces of U, one per superspace.
+
+    Each basis is U's rows followed by the rows of a canonical basis of
+    GF(q)^v / U, taken in iter_rref_bases order with the quotient
+    coordinates placed on U's non-pivot positions.
+    """
     d = U.dim
     if not d <= k <= U.v:
         raise ValueError("need dim(U) <= k <= v")
-    positions = complement_positions(U)
-    lift = lru_cache(maxsize=None)(lambda r: lift_row(r, positions, U.q))  # each row once
-    for rows in iter_rref_bases(U.v - d, k - d, U.q):
-        yield U.rows + tuple([lift(r) for r in rows])
+    head = [(u,) for u in U.rows]
+    for per_row in _completions(U.v - d, k - d, U.q, complement_positions(U)):
+        yield from itertools.product(*head, *per_row)
 
 
 def superspaces(U: Subspace, k: int) -> Iterator[Subspace]:

@@ -4,9 +4,9 @@ Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
 orders, addition one coordinate and one digit at a time, GF(q)-vector
 arithmetic and row reduction one coordinate at a time, GF(q)-combinations
-one coefficient at a time, containment by rank, orbit labels by eliminating
-every row of every basis, and Singer incidence by cycling an orbit and
-testing containment.
+one coefficient at a time, containment by rank, superspace rows lifted one
+digit at a time, orbit labels by eliminating every row of every basis, and
+Singer incidence by cycling an orbit and testing containment.
 """
 
 from __future__ import annotations
@@ -140,6 +140,12 @@ def coordinate_rref(rows: Sequence[int], q: int, v: int) -> tuple[int, ...]:
 def contains_vector(W: Subspace, x: int) -> bool:
     """Whether x lies in W: adding it to a basis leaves the rank at dim W."""
     return vector_ops(W.q, W.v).rank(list(W.rows) + [x]) == W.dim
+
+
+def lift_row(row: int, positions: Sequence[int], q: int) -> int:
+    """A row of GF(q)^len(positions) with its coordinate j moved to position positions[j]."""
+    coords = unpack_coords(row, q, len(positions))
+    return sum(c * q ** pos for pos, c in zip(positions, coords))
 
 
 # -- GF(q)-combinations -----------------------------------------------------------

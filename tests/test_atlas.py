@@ -268,7 +268,9 @@ def test_label_keys_match_oracle_on_sweep(at23):
 
 @pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9)])
 def test_label_keys_match_oracle_on_superspaces(m, l, q):
-    # GF(9^3) is above TABLE_CAP: mid_reduce and mid_add use field operations
+    # q = 4: p = 2, so packed rows of base-4 digits add by XOR; GF(9^3) is
+    # above TABLE_CAP: mid_reduce uses field operations, and packed rows add
+    # digit by digit
     at = gl_atlas(m, l, q)
     kinds = set()
     for bases in _superspace_streams(at, 3):
@@ -277,6 +279,18 @@ def test_label_keys_match_oracle_on_superspaces(m, l, q):
         kinds.update(key[0] for _, key in got)
     assert {"line", "mixed"} <= kinds
     assert ("full" in kinds) == (m >= 3)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_label_keys_match_oracle_on_4_superspaces(q):
+    # every row of (3,2,q) at k = 4: dependencies of four base-q^2 digits
+    at = gl_atlas(3, 2, q)
+    kinds = set()
+    for bases in _superspace_streams(at, 4):
+        got = list(at.label_keys(iter(bases)))
+        assert got == label_keys_by_elimination(at, bases)
+        kinds.update(key[0] for _, key in got)
+    assert kinds == {"mixed", "other"}
 
 
 def _prefix_sharing_stream(at, pick, n_bases):
@@ -312,7 +326,7 @@ def _prefix_sharing_stream(at, pick, n_bases):
 def test_label_keys_match_oracle_on_prefix_sharing_streams(data):
     def pick(lo, hi):
         return data.draw(st.integers(lo, hi))
-    at = gl_atlas(*data.draw(st.sampled_from([(2, 4, 2), (2, 3, 3), (2, 3, 4)])))
+    at = gl_atlas(*data.draw(st.sampled_from([(2, 4, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9)])))
     stream = _prefix_sharing_stream(at, pick, data.draw(st.integers(1, 12)))
     assert list(at.label_keys(iter(stream))) == label_keys_by_elimination(at, stream)
 
@@ -349,9 +363,16 @@ def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
     monkeypatch.setattr(FieldTower, "unflatten_packed", counted)
     monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
     # the stream runs twice, so a lost row memo would unflatten every row again
-    assert sum(1 for _ in at.label_keys(iter(bases + bases))) == 2 * len(bases)
+    stream = bases + bases
+    assert sum(1 for _ in at.label_keys(iter(stream))) == 2 * len(bases)
     assert len(reductions) <= 2 * len(bases) + len(prefixes) + 2
-    assert sorted(calls) == sorted({r for b in bases for r in b})
+    # every basis shares U's rows, whose rank is 2, so no basis has rank 1:
+    # the prefix rows and the first last row are unflattened, then only the
+    # differences of consecutive last rows (XOR at q = 2), each value once
+    last_rows = [b[-1] for b in stream]
+    diffs = {x ^ y for x, y in zip(last_rows, last_rows[1:])}
+    assert sorted(calls) == sorted(set(bases[0]) | diffs)
+    assert len(calls) < len(set(last_rows))
 
 
 @pytest.mark.parametrize("m,l,q,k", [(2, 4, 2, 3), (2, 3, 3, 3)])
@@ -391,6 +412,31 @@ def test_label_keys_match_oracle_on_mixed_lengths():
     got = list(at.label_keys(iter(stream)))
     assert got == label_keys_by_elimination(at, stream)
     assert {key[0] for _, key in got} == {"line", "mixed", "full", "other"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_label_keys_dependency_fixes_the_length(q):
+    # y0, y1, c = -(a y0 + b y1) has the last-row dependency (a, b, 1), and
+    # y0, y1, y2, c has (a, b, 0, 1): the same packed int below the top
+    # digit, so a memo keyed without the e_(k-1) entry would give the second
+    # basis the first one's length
+    at, rng = gl_atlas(3, 3, q), Random(q)
+    tower, mid, ops = at.tower, at.tower.mid, vector_ops(q, at.v)
+    stream = []
+    while len(stream) < 40:
+        y = [tuple(rng.randrange(at.Q) for _ in range(3)) for _ in range(3)]
+        a, b = rng.randrange(1, at.Q), rng.randrange(at.Q)
+        c = tuple(mid.sub(0, mid.add(mid.mul(a, y0), mid.mul(b, y1)))
+                  for y0, y1 in zip(y[0], y[1]))
+        if tower.mid_rank(y) < 3:
+            continue
+        rows = [tower.flatten_packed(vec) for vec in y + [c]]
+        short, long = (rows[0], rows[1], rows[3]), tuple(rows)
+        if ops.rank(short) == 3 and ops.rank(long) == 4:
+            stream += [short, long] if rng.randrange(2) else [long, short]
+    got = list(at.label_keys(iter(stream)))
+    assert got == label_keys_by_elimination(at, stream)
+    assert {key[:2] for _, key in got} == {("mixed", 3), ("mixed", 4)}
 
 
 def test_label_keys_reduces_last_rows_by_linearity(monkeypatch):

@@ -208,17 +208,20 @@ def test_elimination_tables_cap():
     assert build_tower(3, 1, 6, 2).elimination_tables == (None, None)
 
 
-@pytest.mark.parametrize("p,e,l", [(2, 1, 4), (2, 1, 9), (3, 1, 3), (3, 2, 3)])
-def test_mid_add_matches_field_arithmetic(p, e, l):
-    """a + c*b for c = 1 and c = -1: XOR, the tables, and field operations above the cap."""
+@pytest.mark.parametrize("p,e,l", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (3, 2, 3)])
+def test_packed_mid_rows_add_entry_by_entry(p, e, l):
+    """Rows of GF(q^l) elements packed as base-q^l digits add and subtract
+    entry by entry under VectorOps' digit-wise GF(p) addition, whatever their
+    length: XOR at p = 2, chunk tables at odd p, GF(9^3) above TABLE_CAP."""
     tower, rng = build_tower(p, e, l, 2), Random(p * 100 + e * 10 + l)
-    mid = tower.mid
-    for _ in range(200):
-        a = [rng.randrange(tower.Q) for _ in range(5)]
-        b = [rng.randrange(tower.Q) for _ in range(5)]
-        for c in (1, p - 1):
-            assert tower.mid_add(a, b, c) == [mid.add(x, mid.mul(c, y)) for x, y in zip(a, b)]
-        assert tower.mid_add(tower.mid_add(a, b), b, p - 1) == a
+    mid, Q, ops = tower.mid, tower.Q, vector_ops(tower.q, tower.v)
+    for n in (1, 4, 7):
+        for _ in range(50):
+            a = [rng.randrange(Q) for _ in range(n)]
+            b = [rng.randrange(Q) for _ in range(n)]
+            packed_a, packed_b = pack_coords(a, Q), pack_coords(b, Q)
+            assert ops.add(packed_a, packed_b) == pack_coords(list(map(mid.add, a, b)), Q)
+            assert ops.sub_scaled(packed_a, 1, packed_b) == pack_coords(list(map(mid.sub, a, b)), Q)
 
 
 def _combination(mid, coef, vecs):

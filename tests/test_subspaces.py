@@ -10,11 +10,10 @@ from qgdd.fields import TABLE_CAP, build_tower, field_for_order
 from qgdd.subspaces import (Subspace, canonicalize, complement_positions,
                             enumerate_subspaces, gaussian_binomial,
                             intersection_dim, iter_rref_bases,
-                            iter_superspace_bases, lift_row, superspaces,
-                            vector_ops)
+                            iter_superspace_bases, superspaces, vector_ops)
 
 from oracles import (contains_vector, coordinate_add_scaled, coordinate_rref,
-                     coordinate_span)
+                     coordinate_span, lift_row)
 
 
 def brute_count_subspaces(v, d, q):
@@ -168,25 +167,26 @@ def test_superspaces_count_and_filter():
     assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_superspaces_order_and_coverage(q):
     # pivots 0 and 2, so the complement positions 1, 3, 4 are not contiguous
     U = canonicalize([(1, q - 1, 0, 0, 0), (0, 0, 1, 0, 1)], q)
     assert inspect.isgeneratorfunction(iter_superspace_bases)
-    # the memoised lift yields what lifting every row anew yields, in order
     positions = complement_positions(U)
-    per_row = [U.rows + tuple(lift_row(r, positions, q) for r in rows)
-               for rows in iter_rref_bases(3, 1, q)]
-    assert list(iter_superspace_bases(U, 3)) == per_row
-    sup = list(superspaces(U, 3))
-    assert len(sup) == len(set(sup)) == gaussian_binomial(3, 1, q)
-    by_filter = [s for s in enumerate_subspaces(5, 3, q)
-                 if all(contains_vector(s, r) for r in U.rows)]
-    assert sorted(s.rows for s in sup) == sorted(s.rows for s in by_filter)
-    # at k = 4 quotient rows repeat across bases, so the memo is reused
-    per_row_4 = [U.rows + tuple(lift_row(r, positions, q) for r in rows)
-                 for rows in iter_rref_bases(3, 2, q)]
-    assert list(iter_superspace_bases(U, 4)) == per_row_4
+    for k in range(2, 6):
+        # U's rows, then each canonical quotient basis lifted row by row, in order
+        want = [U.rows + tuple(lift_row(r, positions, q) for r in rows)
+                for rows in iter_rref_bases(3, k - 2, q)]
+        assert list(iter_superspace_bases(U, k)) == want
+        # as many distinct superspaces of U as there are, so all of them
+        sup = set(superspaces(U, k))
+        assert len(sup) == len(want) == gaussian_binomial(3, k - 2, q)
+        assert all(s.dim == k and all(contains_vector(s, r) for r in U.rows)
+                   for s in sup)
+    if q <= 4:
+        by_filter = [s for s in enumerate_subspaces(5, 3, q)
+                     if all(contains_vector(s, r) for r in U.rows)]
+        assert sorted(s.rows for s in superspaces(U, 3)) == sorted(s.rows for s in by_filter)
 
 
 def test_superspaces_trivial():
