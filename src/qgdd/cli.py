@@ -19,7 +19,7 @@ from .designfile import design_from_json_dict, design_to_json_dict
 from .designs import (DesignInstance, GddSelection, block_count, build_gdd,
                       build_pbd, fill_holes, supplementary, verify_design,
                       verify_gdd)
-from .singer import (h_incidence_matrix, kramer_mesner_solve, n_orbits,
+from .singer import (divisors, h_incidence_matrix, kramer_mesner_solve,
                      n_orbits_with_stabilizer, singer_action)
 from .subspaces import Subspace, gaussian_binomial
 
@@ -112,15 +112,13 @@ def cmd_gbinom(args) -> int:
 
 def cmd_singer_orbits(args) -> int:
     action = singer_action(args.l, args.q)
-    orbits = action.orbit_representatives(args.d)
     if args.counts_only:
-        body = {
-            "l": args.l, "d": args.d, "q": args.q,
-            "n_orbits": n_orbits(args.d, args.l, args.q),
-            "by_stabilizer": {
-                str(u): n_orbits_with_stabilizer(args.d, u, args.l, args.q)
-                for u in sorted({o.u for o in orbits})},
-        }
+        if not 0 <= args.d <= args.l:
+            raise ValueError("need 0 <= d <= l")
+        by_u = {u: n_orbits_with_stabilizer(args.d, u, args.l, args.q)
+                for u in divisors(args.l) if args.d % u == 0}  # u | gcd(d, l)
+        body = {"l": args.l, "d": args.d, "q": args.q, "n_orbits": sum(by_u.values()),
+                "by_stabilizer": {str(u): n for u, n in by_u.items() if n}}
         if args.json:
             sys.stdout.write(_dump_json(body))
         else:
@@ -128,6 +126,7 @@ def cmd_singer_orbits(args) -> int:
             for u, n in body["by_stabilizer"].items():
                 print(f"  stabilizer GF(q^{u})*: {n}")
         return 0
+    orbits = action.orbit_representatives(args.d)
     body = {"l": args.l, "d": args.d, "q": args.q,
             "orbits": [{"u": o.u, "length": o.length,
                         "representative": o.rep.basis_lists()}

@@ -639,7 +639,6 @@ def h_orbit_decomposition(seed: DesignInstance) -> list[LabelWeight]:
     out: list[LabelWeight] = []
     while remaining:
         rows = next(iter(sorted(remaining)))
-        orbit = action.orbit_containing(rows)
         members = list(action.cycle(rows))
         mults = {remaining.get(m, 0) for m in members}
         if len(mults) != 1:
@@ -648,7 +647,7 @@ def h_orbit_decomposition(seed: DesignInstance) -> list[LabelWeight]:
         mult = mults.pop()
         for m in members:
             remaining.pop(m, None)
-        out.append(LabelWeight(OrbitLabel(orbit.d, 1, None, orbit.rep.rows), mult))
+        out.append(LabelWeight(OrbitLabel(len(rows), 1, None, min(members)), mult))
     out.sort(key=lambda lw: (lw.label.dim, lw.label.rep_rows))
     return out
 

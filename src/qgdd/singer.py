@@ -2,9 +2,10 @@
 
 The Singer cycle H is generated by multiplication with the primitive element
 w of GF(q^l), acting on coordinate vectors in the power basis 1, w, ...,
-w^(l-1).  This module enumerates H-orbits by explicit cycling, evaluates the
-closed-form orbit-count formulas, builds the H-incidence matrix between
-t- and k-subspaces, and runs a bounded 0-1 Kramer-Mesner search.
+w^(l-1).  This module names each H-orbit by a normal form, its least
+canonical basis, found among the members through 1; it evaluates the
+closed-form orbit-count formulas, builds the H-incidence matrix between t-
+and k-subspaces, and runs a bounded 0-1 Kramer-Mesner search.
 """
 
 from __future__ import annotations
@@ -92,15 +93,17 @@ class SingerAction:
         self.mid = self.ext.mid
         self.order = self.mid.order - 1
         mid, ext = self.mid, self.ext
-        self._mulw = [ext.mid_to_pow[mid.mul(ext.w, x)] for x in ext.pow_to_mid]
+        # discrete logs of packed vectors, and packed powers w^i for 0 <= i < 2 * order
+        self._log = [mid.log[x] for x in ext.pow_to_mid]
+        self._exp = [ext.mid_to_pow[x] for x in mid.exp]
         self._ops = vector_ops(q, l)
         self._orbits: dict[int, list[HOrbit]] = {}
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._memo: dict[tuple[int, ...], HOrbit] = {}  # rows asked of orbit_containing
 
     def step(self, rows: tuple[int, ...]) -> tuple[int, ...]:
         """Apply multiplication by w to a canonical basis, recanonicalized."""
-        mulw = self._mulw
-        return self._ops.rref([mulw[r] for r in rows])
+        log, exp = self._log, self._exp
+        return self._ops.rref([exp[log[r] + 1] for r in rows])
 
     def cycle(self, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         """The orbit of a canonical basis: rows, then its images until it returns."""
@@ -111,76 +114,70 @@ class SingerAction:
             if cur == rows:
                 return
 
-    def _stabilizer_exponent(self, length: int) -> int:
-        q = self.q
-        total = q ** self.l - 1
-        assert total % length == 0, "orbit length does not divide q^l - 1"
-        qu = total // length + 1
-        u = 0
-        while qu % q == 0:
-            qu //= q
-            u += 1
-        assert qu == 1, "orbit length incompatible with a subfield stabilizer"
-        return u
+    def _images(self, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """rref(W.x^-1) over x in W = span(rows) with last coefficient 1: one per point."""
+        log, exp, n, q = self._log, self._exp, self.order, self.q
+        logs, span = [log[r] for r in rows], self._ops.span(rows)
+        return (self._ops.rref([exp[b + n - log[x]] for b in logs])
+                for j in range(len(rows)) for x in span[q ** j:2 * q ** j])
 
-    def _orbit(self, members: list[tuple[int, ...]]) -> HOrbit:
-        """The HOrbit of a complete member list, as cycle() yields it."""
-        return HOrbit(len(members[0]), self._stabilizer_exponent(len(members)),
-                      len(members), Subspace(self.q, self.l, min(members)))
-
-    def orbit_of(self, W: Subspace) -> HOrbit:
-        if W.v != self.l or W.q != self.q:
-            raise ValueError("subspace does not match this Singer action")
-        return self._orbit(list(self.cycle(W.rows)))
+    def _orbit(self, rep: tuple[int, ...], hits: int) -> HOrbit:
+        """The orbit with least member rep, whose stabilizer GF(q^u)^* holds the
+        q^u - 1 = hits * (q - 1) vectors x of rep with rep.x^-1 = rep."""
+        q, l = self.q, self.l
+        u = next(u for u in divisors(l) if q ** u - 1 == hits * (q - 1)) if rep else l
+        return HOrbit(len(rep), u, (q ** l - 1) // (q ** u - 1), Subspace(q, l, rep))
 
     def orbit_representatives(self, d: int) -> list[HOrbit]:
         """One HOrbit per orbit of d-subspaces, sorted by (u, representative)."""
         self._ensure_orbits(d)
         return self._orbits[d]
 
-    def orbit_index_map(self, d: int) -> dict[tuple[int, ...], int]:
-        """Canonical basis rows -> index into orbit_representatives(d)."""
-        self._ensure_orbits(d)
-        return self._index[d]
-
     def orbit_containing(self, rows: tuple[int, ...]) -> HOrbit:
         """The orbit of the subspace with these canonical basis rows.
 
+        Its least member contains 1, so it is the least of _images(rows).
         Raises KeyError for rows that are not a canonical basis.
         """
-        d = len(rows)
-        self._ensure_orbits(d)
-        return self._orbits[d][self._index[d][rows]]
+        orbit = self._memo.get(rows)
+        if orbit is None:
+            if self._ops.rref(rows) != rows:
+                raise KeyError(rows)
+            images = list(self._images(rows))
+            rep = min(images, default=())
+            orbit = self._memo[rows] = self._orbit(rep, images.count(rep))
+        return orbit
 
     def incidence_row(self, rows: tuple[int, ...], k: int) -> list[int]:
         """Entry j: members of orbit j of k-subspaces containing span(rows).
 
         Streams the k-superspaces of the canonical basis rows into their orbits.
         """
-        col_index = self.orbit_index_map(k)
-        counts = [0] * len(self.orbit_representatives(k))
+        col_index = {o.rep.rows: j for j, o in enumerate(self.orbit_representatives(k))}
+        counts = [0] * len(col_index)
         for basis in iter_superspace_bases(Subspace(self.q, self.l, rows), k):
-            counts[col_index[self._ops.rref(basis)]] += 1
+            counts[col_index[min(self._images(self._ops.rref(basis)))]] += 1
         return counts
 
     def _ensure_orbits(self, d: int) -> None:
+        """Keep each subspace through 1 (row 1, then a (d-1)-subspace of the last
+        l - 1 coordinates) that none of its images is below: the least members."""
         if d in self._orbits:
             return
         if not 0 <= d <= self.l:
             raise ValueError("need 0 <= d <= l")
-        index: dict[tuple[int, ...], int] = {}
-        orbits: list[HOrbit] = []
-        for rows in iter_rref_bases(self.l, d, self.q):
-            if rows in index:
-                continue
-            members = list(self.cycle(rows))
-            for key in members:
-                index[key] = len(orbits)
-            orbits.append(self._orbit(members))
-        order = sorted(range(len(orbits)), key=lambda i: orbits[i].sort_key())
-        rank = {old: new for new, old in enumerate(order)}
-        self._orbits[d] = [orbits[i] for i in order]
-        self._index[d] = {key: rank[idx] for key, idx in index.items()}
+        q = self.q
+        orbits = [] if d else [self._orbit((), 0)]
+        for rest in iter_rref_bases(self.l - 1, d - 1, q) if d else ():
+            rows = (1,) + tuple(r * q for r in rest)
+            hits = 0
+            for image in self._images(rows):
+                if image < rows:
+                    break
+                hits += image == rows
+            else:
+                orbits.append(self._orbit(rows, hits))
+        self._orbits[d] = sorted(orbits, key=HOrbit.sort_key)
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +187,7 @@ def singer_action(l: int, q: int) -> SingerAction:
 
 def orbit_of(W: Subspace) -> HOrbit:
     """Singer orbit of a subspace of GF(q)^l, ambient parameters taken from W."""
-    return singer_action(W.v, W.q).orbit_of(W)
+    return singer_action(W.v, W.q).orbit_containing(W.rows)
 
 
 def orbit_representatives(l: int, d: int, q: int) -> list[HOrbit]:

@@ -6,7 +6,8 @@ orders, addition one coordinate and one digit at a time, GF(q)-vector
 arithmetic and row reduction one coordinate at a time, GF(q)-combinations
 one coefficient at a time, containment by rank, superspace rows lifted one
 digit at a time, orbit labels by eliminating every row of every basis, and
-Singer incidence by cycling an orbit and testing containment.
+Singer incidence by cycling an orbit and testing containment, and the
+Singer orbit catalogue by cycling every subspace.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Sequence
 
 from qgdd.fields import (factorize, field_for_order, pack_coords, prime_power,
                          unpack_coords)
-from qgdd.subspaces import Subspace, vector_ops
+from qgdd.singer import HOrbit
+from qgdd.subspaces import Subspace, iter_rref_bases, vector_ops
 
 
 # -- the GL(m, q^l) action ------------------------------------------------------
@@ -258,3 +260,27 @@ def containment_count(action, rows: tuple[int, ...], orbit_rows: tuple[int, ...]
         if all(contains_vector(K, r) for r in rows):
             count += 1
     return count
+
+
+def singer_orbits_by_cycling(action, d: int) -> tuple[list, dict]:
+    """The Singer d-orbits found by cycling every d-subspace of GF(q)^l.
+
+    Returns the HOrbits sorted by sort_key and a member -> index map.  The
+    representative is the least member, and u is read off the orbit length:
+    (q^l - 1) / length = q^u - 1.
+    """
+    q, l = action.q, action.l
+    orbits: list[HOrbit] = []
+    index: dict[tuple[int, ...], int] = {}
+    for rows in iter_rref_bases(l, d, q):
+        if rows in index:
+            continue
+        members = list(action.cycle(rows))
+        for member in members:
+            index[member] = len(orbits)
+        qu = (q ** l - 1) // len(members) + 1
+        u = next(u for u in range(l + 1) if q ** u == qu)
+        orbits.append(HOrbit(d, u, len(members), Subspace(q, l, min(members))))
+    order = sorted(range(len(orbits)), key=lambda i: orbits[i].sort_key())
+    rank = {old: new for new, old in enumerate(order)}
+    return [orbits[i] for i in order], {m: rank[i] for m, i in index.items()}

@@ -220,7 +220,7 @@ def test_line_form_inverts_line_rows():
             for gen in gens:
                 image = at.line_rows(rows, gen)
                 form = at.line_form([at.tower.unflatten_packed(r) for r in image])
-                assert at.singer.orbit_containing(form) is orbit
+                assert at.singer.orbit_containing(form) == orbit
                 assert at.label_key_rows(image) == ("line", d, orbit.rep.rows)
 
 

@@ -56,6 +56,19 @@ def test_singer_orbits_counts_only(capsys):
     assert body["by_stabilizer"] == {"1": 93}
 
 
+def test_singer_orbits_counts_only_stabilizers_match_catalogue(capsys):
+    # --counts-only reads its stabilizer keys off the closed form, never the catalogue
+    from qgdd.singer import orbit_representatives
+    for q in (2, 3):
+        for l in range(1, 7):
+            for d in range(l + 1):
+                code, out, _ = run_cli(["singer-orbits", "--l", str(l), "--d", str(d),
+                                        "--q", str(q), "--counts-only", "--json"], capsys)
+                assert code == 0
+                want = {str(o.u) for o in orbit_representatives(l, d, q)}
+                assert set(json.loads(out)["by_stabilizer"]) == want, (l, d, q)
+
+
 def test_orbit_atlas(capsys):
     code, out, _ = run_cli(
         ["orbit-atlas", "--m", "2", "--l", "3", "--k", "3", "--q", "2",

@@ -628,6 +628,19 @@ def test_group_index_built_once_per_loaded_gdd(gdd633):
     assert (info.misses, info.hits) == (1, 1)
 
 
+def test_loading_a_design_builds_no_singer_catalogue():
+    # the representative check of each label is a normal form, not a lookup
+    # in the catalogue of every 3-subspace of GF(2)^8
+    from qgdd.atlas import gl_atlas
+    from qgdd.singer import singer_action
+    data = design_to_json_dict(build_gdd(2, 8, 3, 2, GddSelection.of({(2, 1): 1})))
+    singer_action.cache_clear()
+    gl_atlas.cache_clear()
+    loaded = design_from_json_dict(data)
+    assert singer_action(8, 2)._orbits == {}
+    assert design_to_json_dict(loaded) == data
+
+
 # -- the vector -> group index ---------------------------------------------------------
 
 @pytest.mark.parametrize("case", [(2, 3, 2), (2, 3, 3), (2, 4, 2), "mixed-dim"])

@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+from random import Random
 
 import pytest
 
@@ -43,27 +43,34 @@ def test_moebius_vs_oracle():
 def test_orbit_of_one_subspaces_sharply_transitive():
     action = singer_action(3, 2)
     for rows in iter_rref_bases(3, 1, 2):
-        orbit = action.orbit_of(Subspace(2, 3, rows))
+        orbit = action.orbit_containing(rows)
         assert orbit.length == 7 and orbit.u == 1
     assert n_orbits(1, 5, 2) == 1
     assert n_orbits(1, 4, 3) == 1
 
 
-def test_orbit_of_subfield():
-    # the subfield GF(4) inside GF(16), as a 2-subspace of GF(2)^4
-    action = singer_action(4, 2)
-    mid = action.mid
-    ext = action.ext
-    g = mid.pow(ext.w, 5)  # element of multiplicative order 3
-    rows = [1, ext.mid_to_pow[g]]
-    orbit = action.orbit_of(Subspace.span(2, 4, rows))
-    assert orbit.length == 5 and orbit.u == 2
+SUBFIELD_POINTS = [(q, l, u) for q in (2, 3, 4) for l in range(1, 13)
+                   if q ** l <= 1 << 12 for u in range(1, l + 1) if l % u == 0]
+
+
+@pytest.mark.parametrize("q,l,u", SUBFIELD_POINTS)
+def test_orbit_of_subfield(q, l, u):
+    # the subfield GF(q^u) inside GF(q^l), as a u-subspace of GF(q)^l, is
+    # fixed exactly by GF(q^u)^*; at (2, 4, 2) it is GF(4) inside GF(16)
+    action = singer_action(l, q)
+    mid, ext = action.mid, action.ext
+    g = mid.pow(ext.w, (q ** l - 1) // (q ** u - 1))  # generates GF(q^u)^*
+    W = Subspace.span(q, l, [ext.mid_to_pow[mid.pow(g, i)] for i in range(u)])
+    assert W.dim == u
+    orbit = action.orbit_containing(W.rows)
+    assert orbit.u == u and orbit.length == (q ** l - 1) // (q ** u - 1)
+    assert orbit_of(W) == orbit
 
 
 def test_orbit_of_generic_pair():
     action = singer_action(4, 2)
     W = Subspace.span(2, 4, [1, 2])  # span of 1 and w
-    orbit = action.orbit_of(W)
+    orbit = action.orbit_containing(W.rows)
     assert orbit.length == 15 and orbit.u == 1
 
 
@@ -127,17 +134,24 @@ def test_orbit_members_length():
         assert len(set(members)) == o.length
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_stabilizer_exponent_exact(q):
-    # the exponent depends on q and l only; a stand-in skips building GF(q^l)
-    exponent = SingerAction._stabilizer_exponent
-    l = 1
-    while q ** l <= 1 << 16:
-        action = SimpleNamespace(q=q, l=l)
-        for u in range(1, l + 1):
-            if l % u == 0:
-                assert exponent(action, (q ** l - 1) // (q ** u - 1)) == u
-        l += 1
+ORACLE_POINTS = ([(l, 2, None) for l in range(1, 9)] + [(l, 3, None) for l in range(1, 6)]
+                 + [(4, 4, 2), (4, 9, 2)])
+
+
+@pytest.mark.parametrize("l,q,d", ORACLE_POINTS)
+def test_catalogue_matches_cycling_oracle(l, q, d):
+    # the catalogue from the subspaces through 1 and the normal form of every
+    # member (a sample of 300 per dimension at l = 8) against cycling
+    from oracles import singer_orbits_by_cycling
+    action = SingerAction(l, q)  # its own lookup memo, dropped after the test
+    for d in range(l + 1) if d is None else (d,):
+        orbits, index = singer_orbits_by_cycling(action, d)
+        assert action.orbit_representatives(d) == orbits
+        members = sorted(index)
+        if l == 8 and len(members) > 300:
+            members = Random(d).sample(members, 300)
+        for member in members:
+            assert action.orbit_containing(member) == orbits[index[member]]
 
 
 @pytest.mark.parametrize("l,q", [(4, 2), (6, 2), (3, 3)])
@@ -151,7 +165,7 @@ def test_cycle_and_orbit_containing_agree(l, q):
             assert len(members) == orbit.length
             assert min(members) == orbit.rep.rows
             for member in members:
-                assert action.orbit_containing(member) is orbit
+                assert action.orbit_containing(member) == orbit
 
 
 def test_orbit_containing_rejects_non_canonical_rows():
