@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -278,39 +279,76 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
 # pair keys and coverage sweeps
 
 @lru_cache(maxsize=None)
-def _coeff_pair_rows(d: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """First and second rows of the canonical coefficient bases of the
-    2-subspaces of GF(q)^d, in iter_rref_bases order (none for d < 2)."""
-    return tuple(zip(*iter_rref_bases(d, 2, q))) if d >= 2 else ((), ())
+def _pair_positions(d: int, q: int) -> itemgetter:
+    """Picks from N(rows), d = len(rows) >= 2, the two rows of the canonical coefficient
+    basis of each 2-subspace of GF(q)^d, interleaved, in iter_rref_bases order."""
+    coeffs: list[int] = []
+    for j in range(d):  # the coefficient vectors of N(rows), in its order
+        coeffs = [c + b * q ** j for b in range(q) for c in coeffs] + [q ** j]
+    at = {c: i for i, c in enumerate(coeffs)}
+    return itemgetter(*(at[c] for basis in iter_rref_bases(d, 2, q) for c in basis))
+
+
+def _normalized(q: int, v: int, combos: list[int], parts: tuple, x: int) -> list[int]:
+    """N(rows + (x,)) = [c + b·x for b in GF(q) for c in N(rows)] + [x] from combos = N(rows),
+    the combinations of rows with lowest nonzero coefficient 1, and parts (_head_normalized).
+    Rows are added by XOR at q = 2; with parts, by table lookup on the low and the high
+    chunk of VectorOps.tables, then joined; else by VectorOps.add."""
+    if q == 2:
+        return combos + [x ^ c for c in combos] + [x]
+    ops = vector_ops(q, v)
+    if not parts:
+        mults = [ops.smul(b, x) for b in range(1, q)]
+        return combos + [ops.add(c, m) for m in mults for c in combos] + [x]
+    C, _, add, scale = ops.tables
+    adds = [(add[s[x % C]], add[s[x // C]]) for s in scale[1:]]
+    return combos + [hi[h] * C + lo[l] for lo, hi in adds for l, h in zip(*parts)] + [x]
+
+
+@lru_cache(maxsize=1)  # the sweep varies the last row fastest
+def _head_normalized(q: int, v: int, head: tuple[int, ...]) -> tuple[list[int], tuple]:
+    """N(head) and, at odd p when VectorOps.tables cut a row into at most two
+    chunks, the low and high chunks of its rows; built once per run of blocks
+    that share head."""
+    combos = _normalized(q, v, *_head_normalized(q, v, head[:-1]), head[-1]) if head else []
+    C, n = (vector_ops(q, v).tables or (0, 0))[:2] if q % 2 else (0, 0)
+    return combos, ([c % C for c in combos], [c // C for c in combos]) if 0 < n <= 2 else ()
 
 
 def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int, int]]:
     """Canonical basis rows of each 2-subspace inside the block spanned by rows.
 
-    The block rows are canonical, so the combination of them with a
-    canonical coefficient basis is the canonical basis of its image.
+    The block rows are canonical, so the combination of them with a canonical
+    coefficient basis, whose pivots are 1, is the canonical basis of its image:
+    the keys are read from N(rows), with N(rows[:-1]) built once per run of blocks.
     """
-    span = vector_ops(q, v).span(rows)
-    firsts, seconds = _coeff_pair_rows(len(rows), q)
-    yield from zip(map(span.__getitem__, firsts), map(span.__getitem__, seconds))
+    if len(rows) < 2:
+        return
+    combos = _normalized(q, v, *_head_normalized(q, v, rows[:-1]), rows[-1])
+    picked = iter(_pair_positions(len(rows), q)(combos))
+    yield from zip(picked, picked)
 
 
 def _sweep_chunk(items: Iterable[tuple[tuple[int, ...], int]], q: int,
                  v: int) -> tuple[Counter, int]:
     """Pair-key tally and block count of (rows, multiplicity) items.
 
-    The blocks of one multiplicity are tallied together, one count per key
-    and block, and the tallies are summed with their multiplicities at the end.
+    The keys of the blocks of multiplicity 1 are counted in one
+    Counter.update, the others block by block with their multiplicity.
     """
-    by_mult: defaultdict[int, Counter] = defaultdict(Counter)
+    counts: Counter = Counter()
     n_blocks = 0
-    for rows, mult in items:
-        n_blocks += mult
-        by_mult[mult].update(block_pair_keys(rows, q, v))
-    counts = by_mult.pop(1, Counter())
-    for mult, tally in by_mult.items():
-        for key, c in tally.items():
-            counts[key] += c * mult
+
+    def singles() -> Iterator[Iterator[tuple[int, int]]]:
+        nonlocal n_blocks
+        for rows, mult in items:
+            n_blocks += mult
+            if mult == 1:
+                yield block_pair_keys(rows, q, v)
+            else:  # the keys of one block are distinct
+                counts.update(dict.fromkeys(block_pair_keys(rows, q, v), mult))
+
+    counts.update(chain.from_iterable(singles()))
     return counts, n_blocks
 
 

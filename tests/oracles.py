@@ -4,7 +4,8 @@ Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
 orders, addition one coordinate and one digit at a time, GF(q)-vector
 arithmetic and row reduction one coordinate at a time, GF(q)-combinations
-one coefficient at a time, containment by rank, superspace rows lifted one
+one coefficient at a time, the pair keys of a block read from its whole
+span table, containment by rank, superspace rows lifted one
 digit at a time, orbit labels by eliminating every row of every basis, and
 Singer incidence by cycling an orbit and testing containment, and the
 Singer orbit catalogue by cycling every subspace.
@@ -168,6 +169,19 @@ def combine(coeff_row: int, rows: Sequence[int], ops) -> int:
 def span_table(rows: Sequence[int], ops) -> list[int]:
     """VectorOps.span, one coefficient vector at a time."""
     return [combine(c, rows, ops) for c in range(ops.q ** len(rows))]
+
+
+def span_pair_keys(rows: Sequence[int], q: int, v: int) -> list[tuple[int, int]]:
+    """Pair keys of a block read from its whole VectorOps.span table.
+
+    span[c] is the combination of rows with packed coefficients c, so the
+    key of the 2-subspace with canonical coefficient basis (a, b) is
+    (span[a], span[b]), in iter_rref_bases order; none for fewer than 2 rows.
+    """
+    if len(rows) < 2:
+        return []
+    span = vector_ops(q, v).span(rows)
+    return [(span[a], span[b]) for a, b in iter_rref_bases(len(rows), 2, q)]
 
 
 def hole_coords(hole: Subspace, row: int) -> int:

@@ -16,9 +16,9 @@ from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           verify_gdd)
 from qgdd.designfile import design_from_json_dict, design_to_json_dict
 from qgdd.subspaces import (Subspace, gaussian_binomial, intersection_dim,
-                            iter_rref_bases)
+                            iter_rref_bases, vector_ops)
 
-from oracles import contains_vector
+from oracles import combine, contains_vector, span_pair_keys
 
 
 def complete_design(v, k, q, mult=1):
@@ -983,11 +983,13 @@ def test_coverage_counter_caps_workers_at_cpu_count(gdd633, monkeypatch):
 
 # -- pair keys and the one verification loop ------------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_block_pair_keys_brute_force(q):
     from qgdd.subspaces import vector_ops
     rng = Random(q)
-    for d in (2, 3, 4):
+    for d in (2, 3, 4, 1):  # d = 1 last: a line holds no 2-subspace
+        if q ** d > 1000:  # the brute force pairs up every point
+            continue
         v = d + 2
         ops = vector_ops(q, v)
         for _ in range(5):
@@ -1002,6 +1004,117 @@ def test_block_pair_keys_brute_force(q):
             assert len(keys) == gaussian_binomial(d, 2, q)
             assert all(len(key) == 2 for key in keys)
             assert set(keys) == brute
+
+
+# -- pair keys from normalized combinations, against the span table ----------------
+
+def _span_oracle_tally(items, q, v):
+    """The pair tally of (rows, multiplicity) items, each block keyed from its span table."""
+    counts = Counter()
+    for rows, mult in items:
+        for key in span_pair_keys(rows, q, v):
+            counts[key] += mult
+    return counts
+
+
+def _explicit_in_order(q, v, items):
+    """An explicit design that streams items as given: make_explicit would sort them."""
+    return DesignInstance(q=q, v=v, kind="design", K=tuple(sorted({len(r) for r, _ in items})),
+                          claimed_lambda=None, blocks=ExplicitBlocks(tuple(items)))
+
+
+@pytest.mark.parametrize("q,v,k", [(2, 6, 3), (2, 6, 4), (3, 6, 3), (3, 5, 4), (4, 4, 3),
+                                   (5, 4, 2), (5, 4, 3), (9, 3, 2), (7, 4, 3), (7, 3, 2),
+                                   (2, 5, 1), (3, 4, 1)])
+def test_pair_tally_matches_span_oracle_on_subspace_streams(q, v, k):
+    # the sweep order: runs of blocks that share all rows but the last
+    items = [(rows, 1) for rows in iter_rref_bases(v, k, q)]
+    counts, n_blocks = coverage_counter(_explicit_in_order(q, v, items))
+    assert n_blocks == len(items)
+    assert counts == _span_oracle_tally(items, q, v)
+    assert sum(counts.values()) == len(items) * gaussian_binomial(k, 2, q)
+
+
+def test_pair_keys_past_the_table_cap():
+    # q = 343 > TABLE_CAP adds whole rows digit by digit; a span table of a
+    # 3-block would hold 343^3 entries, so sampled keys are checked against
+    # the combination of the rows with their coefficient basis instead
+    from qgdd.fields import TABLE_CAP
+    q, v = 343, 4
+    assert q > TABLE_CAP
+    ops = vector_ops(q, v)
+    rng = Random(343)
+    bases = list(iter_rref_bases(3, 2, q))
+    items, want = [], Counter()
+    for mult in (1, 2):
+        rows = ()
+        while len(rows) != 3:
+            rows = ops.rref(rng.randrange(q ** v) for _ in range(3))
+        keys = list(block_pair_keys(rows, q, v))
+        assert len(keys) == len(bases) == gaussian_binomial(3, 2, q)
+        for i in rng.sample(range(len(bases)), 150):
+            a, b = bases[i]
+            assert keys[i] == (combine(a, rows, ops), combine(b, rows, ops))
+        items.append((rows, mult))
+        want.update({key: mult for key in keys})
+    assert coverage_counter(_explicit_in_order(q, v, items)) == (want, 3)
+
+
+def test_pair_tally_matches_span_oracle_on_shuffled_items():
+    # blocks of three dimensions with multiplicities 1..4, in random order
+    rng = Random(25)
+    q, v = 3, 5
+    items = [(rows, rng.randrange(1, 5)) for k in (2, 3, 4)
+             for rows in iter_rref_bases(v, k, q) if rng.random() < 0.3]
+    rng.shuffle(items)
+    assert {m for _, m in items} == {1, 2, 3, 4}
+    counts, n_blocks = coverage_counter(_explicit_in_order(q, v, items))
+    assert n_blocks == sum(m for _, m in items)
+    assert counts == _span_oracle_tally(items, q, v)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_tally_matches_span_oracle_by_shard(shard_design, n):
+    # mixed labels at q = 2 and 3, a PBD that mixes k = 2 and 3, explicit blocks
+    q, v = shard_design.q, shard_design.v
+    total = Counter()
+    for i in range(n):
+        items = list(expand_blocks(shard_design, shard=(i, n)))
+        tally = designs._merge_tallies([designs._sweep_shard(shard_design, (i, n), 10 ** 6)])
+        assert tally == (_span_oracle_tally(items, q, v), sum(m for _, m in items))
+        total += tally[0]
+    assert coverage_counter(shard_design) == (total, block_count(shard_design))
+
+
+def test_pair_keys_of_interleaved_spaces():
+    # (1, 9) is the first two rows of blocks of GF(3)^4, GF(3)^6 and GF(9)^4,
+    # each with its own combinations and, at q = 3, chunk widths (n = 1, 2)
+    streams = {(q, v): [rows for rows in iter_rref_bases(v, 3, q) if rows[:2] == (1, 9)]
+               for q, v in [(3, 4), (3, 6), (9, 4)]}
+    assert all(streams.values())
+    calls = 0
+    for step in range(max(map(len, streams.values()))):
+        for (q, v), blocks in streams.items():
+            rows = blocks[step % len(blocks)]
+            assert list(block_pair_keys(rows, q, v)) == span_pair_keys(rows, q, v), (q, v, rows)
+            calls += 1
+    assert calls >= 3 * 9
+
+
+def test_set_up_builds_no_pair_key_state(tmp_path):
+    # the pair-key caches fill on the first block_pair_keys call, never while
+    # a design is built or loaded: set-up stays as cheap as before them
+    caches = (designs._head_normalized, designs._pair_positions)
+    for cache in caches:
+        cache.cache_clear()
+    design = build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1}))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(design_to_json_dict(design)))
+    loaded = design_from_json_dict(json.loads(path.read_text()))
+    assert loaded.blocks == design.blocks
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    list(block_pair_keys(loaded.groups[0].rows, 3, 6))
+    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
 
 
 def _oracle_sampled_report(design, sample, seed):
