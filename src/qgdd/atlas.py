@@ -19,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
 from .fields import FieldTower, build_tower, pack_coords, prime_power, unpack_coords
 from .singer import SingerAction, singer_action
-from .subspaces import Subspace, vector_ops
+from .subspaces import Subspace, runs_of, vector_ops
 
 GL_BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -121,131 +122,100 @@ class GlAtlas:
         raising, so streaming sweeps can tally them.  One-shot; sweeps over
         many bases use label_keys.
         """
-        return next(self.label_keys((rows,)))[1]
+        return next(self.label_keys(runs_of((rows,))))[2][0]
 
-    def label_keys(self, bases: Iterable[Sequence[int]]
-                   ) -> Iterator[tuple[Sequence[int], tuple]]:
-        """Stream (rows, label_key_rows(rows)) over a stream of nonempty bases.
+    def label_keys(self, runs: Iterable[tuple[Sequence[int], Sequence[int]]]
+                   ) -> Iterator[tuple[Sequence[int], Sequence[int], list[tuple]]]:
+        """Stream (prefix, last rows, keys) over runs of bases prefix + (x,), x in
+        last rows: keys[j] = label_key_rows(prefix + (last rows[j],)).
 
-        Consecutive bases from iter_rref_bases or iter_superspace_bases
-        mostly differ in their last row only.  The rows before the last (the
-        prefix) are eliminated over GF(q^l) with a tracked transform, and the
-        echelon of every prefix of the previous basis is kept, so a basis
-        reduces only the prefix rows past the longest prefix it shares with
-        the previous one.  A basis of another length starts afresh.
-
-        The last row x is reduced as [x | e_(k-1)] against the prefix echelon
-        at width 0, so mid_reduce neither scales nor keeps it.  That reduction
-        red(x) is GF(q)-linear in x, and so is unflattening x: while the
-        prefix holds, red(x) = red(x') + red([x - x' | 0]) for the previous
-        last row x', with x - x' taken on the packed GF(q)^v rows and the
-        second term memoized by x - x' until the prefix changes.  Once a
-        prefix repeats, red(x) is kept as one int, its m + k GF(q^l) entries
-        as base-Q digits; a GF(q^l) element is a base-p digit string, so
-        adding such ints is VectorOps' digit-wise GF(p) addition, XOR at
-        p = 2.  So only the prefix rows, the first last row of a prefix and
-        the differences are unflattened, each value once, and a stream whose
-        prefixes never repeat packs nothing but dependencies.  The key is
-        read from red(x): a nonzero residual (its first m entries, red % Q^m)
-        raises the prefix's rank by one and gives one key per prefix; a zero
-        residual keeps the rank, and the transform (red // Q^m) is the first
-        dependency if the prefix has none.  Its top digit is the e_(k-1)
-        coefficient 1, so the packed dependency fixes k and keys the
-        mixed-key memo, unpacked only on a miss.  Only rank 1 reads the last
-        row's vector (line_form).
+        The prefix is eliminated over GF(q^l) with a tracked transform, keeping
+        the echelon of each leading part, so a run reduces only the prefix rows
+        past those it shares with the run before.  A last row x is reduced as
+        [x | e_(k-1)] at width 0 (not scaled, not kept) into red(x), one int of
+        m + k base-Q digits, GF(q)-linear in x and added digit-wise over GF(p)
+        (XOR at p = 2).  So a run reduces its first last row and each new
+        difference x - x' of consecutive last rows (taken once per last-row
+        list, reduced once per prefix), builds its reductions in one accumulate
+        pass and reads its keys in one list pass.  A nonzero residual red % Q^m
+        gives the prefix's one key for a rank one higher; a zero residual keeps
+        the rank, and at rank k - 1 the transform red // Q^m is the first
+        dependency, whose top digit 1 fixes k.  Only rank 1 reads the row.
         """
         tower, Q, m = self.tower, self.Q, self.m
         unflatten = lru_cache(maxsize=None)(tower.unflatten_packed)  # each value once
         reduce, Qm = tower.mid_reduce, Q ** m
-        if tower.p == 2:
-            add = sub = xor
-        else:  # each difference of two rows computed once
-            ops = self._ops_v
-            add = ops.add
-            sub = lru_cache(maxsize=None)(lambda a, b: ops.sub_scaled(a, 1, b))
-        head = None     # the prefix of the previous basis
+        mid_to_pow, orbit_containing = tower.ext.mid_to_pow, self.singer.orbit_containing
+        ops = self._ops_v  # sub(x, x') = x - x'
+        add, sub = (xor, xor) if tower.p == 2 else (ops.add, lambda a, b: ops.sub_scaled(a, 1, b))
+
+        @lru_cache(maxsize=None)
+        def mixed(dep: tuple[int, ...] | int) -> tuple:
+            # a first dependency (a prefix row's, or a last row's packed) spans
+            # 1 and the mixing coefficients
+            coeffs = unpack_coords(dep, Q, k) if isinstance(dep, int) else dep
+            span = self._ops_l.rref([mid_to_pow[c] for c in coeffs])
+            return "mixed", len(coeffs), len(span) - 1, orbit_containing(span).rep.rows
+
+        def line(x: int) -> tuple:
+            key = self.line_form([*vecs, unflatten(x)])
+            assert len(key) == k, "line-class ratios must stay independent"
+            return "line", k, orbit_containing(key).rep.rows
+
+        @lru_cache(maxsize=None)  # cleared on each new prefix
+        def step(diff: int) -> int:
+            return pack_coords(reduce(echelon, list(unflatten(diff)) + [0] * k, 0), Q)
+
+        head = None     # the prefix of the run before
         vecs: list[tuple[int, ...]] = []
         echelon: list[tuple[int, list[int]]] = []
         deps: list[tuple[int, ...]] = []
-        # (len(echelon), len(deps)) after each prefix of head
+        # (len(echelon), len(deps)) after each leading part of head
         marks: list[tuple[int, int]] = [(0, 0)]
-        # first dependency -> mixed key: a prefix row's (a tuple) or a last
-        # row's (packed, k digits)
-        memo: dict[tuple[int, ...] | int, tuple] = {}
-
-        def key_of(rank: int, dep: tuple[int, ...] | int | None) -> tuple:
-            """Key of the current basis from its GF(q^l) rank and first dependency."""
-            if rank == k:
-                return ("full", k)
-            if rank == 1:
-                key = self.line_form([*vecs, unflatten(row)])
-                assert len(key) == k, "line-class ratios must stay independent"
-                return ("line", k, self.singer.orbit_containing(key).rep.rows)
-            if rank == k - 1:
-                out = memo.get(dep)
-                if out is None:
-                    # the relation among the inputs spans 1 and the mixing coefficients
-                    mid_to_pow = tower.ext.mid_to_pow
-                    coeffs = unpack_coords(dep, Q, k) if isinstance(dep, int) else dep
-                    span = self._ops_l.rref([mid_to_pow[c] for c in coeffs])
-                    out = memo[dep] = ("mixed", k, len(span) - 1,
-                                       self.singer.orbit_containing(span).rep.rows)
-                return out
-            return ("other", k, rank)
-
-        rank, last = 0, None  # the prefix's rank; the last row before, None on a new prefix
-        for rows in bases:
-            if rows[:-1] != head:
-                k = len(rows)
+        seen = diffs = None  # the last-row list whose consecutive differences are diffs
+        for prefix, lasts in runs:
+            if prefix != head:
+                k = len(prefix) + 1
                 shared = 0
                 if len(vecs) == k - 1:
-                    while shared < k - 1 and rows[shared] == head[shared]:
+                    while shared < k - 1 and prefix[shared] == head[shared]:
                         shared += 1
-                if shared < k - 1 or len(vecs) != k - 1:  # else only the type differs
-                    del vecs[shared:], marks[shared + 1:]
-                    n_ech, n_dep = marks[shared]
-                    del echelon[n_ech:], deps[n_dep:]
-                    for i in range(shared, k - 1):
-                        x = unflatten(rows[i])
-                        # the input row followed by its transform, eliminated together
-                        cur = list(x) + [0] * k
-                        cur[m + i] = 1
-                        dep = reduce(echelon, cur, m)
-                        if dep is not None:
-                            deps.append(tuple(dep[m:]))
-                        vecs.append(x)
-                        marks.append((len(echelon), len(deps)))
-                    rank, last = len(echelon), None
-                head = rows[:-1]
-            row = rows[-1]
-            if last is None:
-                cur = list(unflatten(row)) + [0] * k
-                cur[-1] = 1
-                red = reduce(echelon, cur, 0)  # packed once the prefix repeats
-                off, steps, own = any(red[:m]), None, None
-            else:
-                if steps is None:
-                    steps, red = {}, pack_coords(red, Q)
-                diff = sub(row, last)
-                step = steps.get(diff)
-                if step is None:
-                    step = steps[diff] = pack_coords(
-                        reduce(echelon, list(unflatten(diff)) + [0] * k, 0), Q)
-                red = add(red, step)
-                off = red % Qm
-            last = row
-            if off:
-                # x is off the prefix's span, so the rank is rank + 1: that is 1
-                # only at k = 1 (full), as no row of a basis is 0, so the key
-                # depends on the prefix alone
-                if own is None:
-                    own = key_of(rank + 1, deps[0] if deps else None)
-                yield rows, own
-            elif deps:  # rank < k - 1
-                yield rows, key_of(rank, deps[0])
-            else:  # rank = k - 1, and the transform is the first dependency
-                dep = pack_coords(red[m:], Q) if steps is None else red // Qm
-                yield rows, memo.get(dep) or key_of(rank, dep)
+                del vecs[shared:], marks[shared + 1:]
+                n_ech, n_dep = marks[shared]
+                del echelon[n_ech:], deps[n_dep:]
+                for i in range(shared, k - 1):
+                    x = unflatten(prefix[i])
+                    # the input row followed by its transform, eliminated together
+                    cur = list(x) + [0] * k
+                    cur[m + i] = 1
+                    dep = reduce(echelon, cur, m)
+                    if dep is not None:
+                        deps.append(tuple(dep[m:]))
+                    vecs.append(x)
+                    marks.append((len(echelon), len(deps)))
+                head, rank = prefix, len(echelon)
+                step.cache_clear()
+                # the key of a last row off the prefix's span: rank + 1 is 1
+                # only at k = 1 (full), as no row of a basis is 0
+                own = (("full", k) if rank + 1 == k else mixed(deps[0]) if rank + 2 == k
+                       else ("other", k, rank + 1))
+            cur = list(unflatten(lasts[0])) + [0] * k
+            cur[-1] = 1
+            red = reduce(echelon, cur, 0)
+            if len(lasts) == 1 and any(red[:m]):  # a lone row off the prefix's span
+                yield prefix, lasts, [own]
+                continue
+            if lasts is not seen:
+                seen, diffs = lasts, list(map(sub, lasts[1:], lasts))
+            reds = accumulate(map(step, diffs), add, initial=pack_coords(red, Q))
+            if rank == 1:
+                keys = [own if r % Qm else line(x) for r, x in zip(reds, lasts)]
+            elif rank < k - 1:
+                other = ("other", k, rank)
+                keys = [own if r % Qm else other for r in reds]
+            else:  # rank k - 1: the transform is the first dependency
+                keys = [own if r % Qm else mixed(r // Qm) for r in reds]
+            yield prefix, lasts, keys
 
     def line_form(self, vecs: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """Canonical rows of the W in GF(q^l) with span(vecs) = W.x, vecs in one line.

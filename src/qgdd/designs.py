@@ -18,7 +18,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -27,7 +27,8 @@ from . import incidence
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
 from .fields import unpack_coords
 from .singer import n_orbits_with_stabilizer, singer_action
-from .subspaces import Subspace, gaussian_binomial, iter_rref_bases, vector_ops
+from .subspaces import (Subspace, gaussian_binomial, iter_rref_bases, iter_rref_runs,
+                        runs_of, vector_ops)
 # Not called here; perfbench/spans.py still traces it under this module.
 from .subspaces import iter_superspace_bases  # noqa: F401
 
@@ -136,10 +137,10 @@ def expand_blocks(design: DesignInstance, budget: int = EXPANSION_BUDGET,
     wanted = _swept_weights(blocks)
     if not wanted:
         return
-    for rows, key in atlas.label_keys(iter_rref_bases(v, blocks.k, q, shard)):
-        mult = wanted.get(key)
-        if mult:
-            yield rows, mult
+    for prefix, lasts, keys in atlas.label_keys(iter_rref_runs(v, blocks.k, q, shard)):
+        for x, mult in zip(lasts, map(wanted.get, keys)):
+            if mult:
+                yield (*prefix, x), mult
 
 
 def _swept_weights(blocks: ImplicitBlocks) -> dict:
@@ -636,8 +637,9 @@ class _ImplicitCoverage:
             if not weight:  # the span-k orbit is empty for k > m
                 continue
             block = atlas.realize(lw.label)
-            for _, key in atlas.label_keys(block_pair_keys(block.rows, q, v)):
-                incident[key] += weight
+            for *_, keys in atlas.label_keys(runs_of(block_pair_keys(block.rows, q, v))):
+                for key in keys:
+                    incident[key] += weight
         self.by_key = {
             key: incidence._exact_div(n, atlas.label_orbit_size(_pair_label(key)),
                                       f"coverage of {key}")
@@ -648,13 +650,14 @@ class _ImplicitCoverage:
         """(rows, blocks through span(rows)) over a stream of 2-subspace bases.
 
         The bases are labeled by orbit, LABEL_BATCH at a time, each batch in
-        one label_keys stream.
+        one label_keys stream of runs of one: drawn pairs seldom share a row.
         """
         by_key, pairs = self.by_key, iter(pairs)
         # a fresh stream per batch bounds the stream's row cache
         while batch := list(islice(pairs, LABEL_BATCH)):
-            for rows, key in self.atlas.label_keys(batch):
-                yield rows, by_key.get(key, 0)
+            runs = self.atlas.label_keys((rows[:1], rows[1:]) for rows in batch)
+            keys = chain.from_iterable(map(itemgetter(2), runs))
+            yield from zip(batch, map(by_key.get, keys, repeat(0)))
 
 
 def _pair_label(key: tuple) -> OrbitLabel:

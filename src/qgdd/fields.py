@@ -15,7 +15,8 @@ for characteristic 2 it is plain integer XOR.  So is adding rows of GF(q^l)
 elements packed as base-q^l digits (`atlas.GlAtlas.label_keys`).
 `digit_add_table` tabulates that addition for values below a power of p; it
 serves both the GF(q^l) elimination tables and the chunk tables of
-`subspaces.VectorOps`, which share the cap TABLE_CAP.
+`subspaces.VectorOps`, which share the cap TABLE_CAP and take their
+digit-wise scaling from `digit_scale_table`.
 """
 
 from __future__ import annotations
@@ -118,6 +119,19 @@ def digit_add_table(p: int, n: int) -> list[list[int]]:
     for a in range(1, n):
         add.append([(a + x) % p + p * add[a // p][x // p] for x in range(n)])
     return add
+
+
+@lru_cache(maxsize=None)
+def digit_scale_table(q: int, w: int) -> list[list[int]]:
+    """scale[s][x] = s times each base-q digit of x, for x below q^w; shared, as
+    digit_add_table: read it, never write it."""
+    f, scale = field_for_order(q), []
+    for s in range(q):
+        row = [f.mul(s, d) for d in range(q)]  # one digit; x = q * (x // q) + x % q
+        for x in range(q, q ** w):
+            row.append(row[x % q] + q * row[x // q])
+        scale.append(row)
+    return scale
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
 from .matrices import LabeledIntMatrix
 from .singer import h_incidence_matrix
-from .subspaces import Subspace, gaussian_binomial, iter_superspace_bases
+from .subspaces import Subspace, gaussian_binomial, iter_superspace_runs
+# Not called here; perfbench/spans.py still traces it under this module.
+from .subspaces import iter_superspace_bases  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,8 @@ def closed_form_matrix(m: int, l: int, k: int, q: int) -> AkMatrix:
 
 def row_coverage(atlas: GlAtlas, realized: Subspace, k: int) -> Counter:
     """Label-key counts over all k-superspaces of a realized 2-subspace."""
-    return Counter(map(itemgetter(1), atlas.label_keys(iter_superspace_bases(realized, k))))
+    runs = atlas.label_keys(iter_superspace_runs(realized, k))
+    return Counter(chain.from_iterable(map(itemgetter(2), runs)))
 
 
 def brute_force_matrix(m: int, l: int, k: int, q: int,

@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .fields import (TABLE_CAP, add_digits, digit_add_table, field_for_order,
-                     pack_coords, unpack_coords)
+from .fields import (TABLE_CAP, add_digits, digit_add_table, digit_scale_table,
+                     field_for_order, pack_coords, unpack_coords)
 
 
 def gaussian_binomial(v: int, k: int, q: int) -> int:
@@ -55,7 +56,7 @@ class VectorOps:
         width that gives n.  add[a][x] is the digit-wise sum of two chunks
         (None at p = 2, where it is a ^ x); scale[s][x] is s times each digit.
         """
-        q, f, v = self.q, self.field, max(self.v, 1)
+        q, v = self.q, max(self.v, 1)
         if q == 2 or q > TABLE_CAP:
             return None
         most = 1  # base-q digits in the widest chunk below the cap
@@ -64,9 +65,8 @@ class VectorOps:
         n = -(-v // most)
         w = -(-v // n)
         C = q ** w
-        scale = [[pack_coords([f.mul(s, d) for d in unpack_coords(x, q, w)], q)
-                  for x in range(C)] for s in range(q)]
-        return C, n, None if self.p == 2 else digit_add_table(self.p, C), scale
+        add = None if self.p == 2 else digit_add_table(self.p, C)
+        return C, n, add, digit_scale_table(q, w)
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -288,6 +288,24 @@ def _completions(v: int, d: int, q: int,
         yield per_row
 
 
+def iter_rref_runs(v: int, d: int, q: int, shard: tuple[int, int] = (0, 1)
+                   ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """iter_rref_bases(v, d, q, shard) cut into runs (prefix, last rows): the
+    bases prefix + (x,) for x in last rows, one run per prefix of d - 1 rows.
+    One last-row list serves every run of a pivot-column set; none is empty."""
+    i, n = shard
+    if not 0 <= d <= v:
+        raise ValueError("need 0 <= d <= v")
+    if not 0 <= i < n:
+        raise ValueError(f"shard {shard} needs 0 <= i < n")
+    unit = 0  # number of the first unit of this pivot set
+    for first, *rest in _completions(v, d, q, range(v)) if d else ():
+        *front, lasts = first[(i - unit) % n::n], *rest
+        unit += len(first)
+        if lasts:
+            yield from zip(itertools.product(*front), itertools.repeat(lasts))
+
+
 def iter_rref_bases(v: int, d: int, q: int,
                     shard: tuple[int, int] = (0, 1)) -> Iterator[tuple[int, ...]]:
     """All canonical d-subspace bases of GF(q)^v, packed rows.
@@ -299,21 +317,17 @@ def iter_rref_bases(v: int, d: int, q: int,
     j % n == i, each in the order above, so the n shards partition the
     stream and (0, 1) is all of it.
     """
-    i, n = shard
-    if not 0 <= d <= v:
-        raise ValueError("need 0 <= d <= v")
-    if not 0 <= i < n:
-        raise ValueError(f"shard {shard} needs 0 <= i < n")
-    if d == 0:
-        if i == 0:
-            yield ()
-        return
-    unit = 0  # number of the first unit of this pivot set
-    for per_row in _completions(v, d, q, range(v)):
-        first = per_row[0]
-        per_row[0] = first[(i - unit) % n::n]
-        unit += len(first)
-        yield from itertools.product(*per_row)
+    for prefix, lasts in iter_rref_runs(v, d, q, shard):
+        yield from map(prefix.__add__, zip(lasts))
+    if d == 0 == shard[0]:
+        yield ()
+
+
+def runs_of(bases: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], list[int]]]:
+    """A stream of nonempty bases as runs (prefix, last rows) of consecutive
+    bases that share all rows but the last."""
+    for prefix, run in itertools.groupby(bases, itemgetter(slice(-1))):
+        yield prefix, list(map(itemgetter(-1), run))
 
 
 def enumerate_subspaces(v: int, d: int, q: int) -> Iterator[Subspace]:
@@ -328,6 +342,19 @@ def complement_positions(U: Subspace) -> list[int]:
     return [j for j in range(U.v) if j not in pivots]
 
 
+def iter_superspace_runs(U: Subspace, k: int
+                         ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """iter_superspace_bases(U, k) cut into runs (prefix, last rows), as
+    iter_rref_runs; none for k = 0."""
+    d = U.dim
+    if not d <= k <= U.v:
+        raise ValueError("need dim(U) <= k <= v")
+    head = [(u,) for u in U.rows]
+    for per_row in _completions(U.v - d, k - d, U.q, complement_positions(U)) if k else ():
+        *front, lasts = *head, *per_row
+        yield from zip(itertools.product(*front), itertools.repeat(lasts))
+
+
 def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:
     """Bases (not canonicalized) of the k-superspaces of U, one per superspace.
 
@@ -335,12 +362,10 @@ def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:
     GF(q)^v / U, taken in iter_rref_bases order with the quotient
     coordinates placed on U's non-pivot positions.
     """
-    d = U.dim
-    if not d <= k <= U.v:
-        raise ValueError("need dim(U) <= k <= v")
-    head = [(u,) for u in U.rows]
-    for per_row in _completions(U.v - d, k - d, U.q, complement_positions(U)):
-        yield from itertools.product(*head, *per_row)
+    for prefix, lasts in iter_superspace_runs(U, k):
+        yield from map(prefix.__add__, zip(lasts))
+    if k == 0:
+        yield ()
 
 
 def superspaces(U: Subspace, k: int) -> Iterator[Subspace]:

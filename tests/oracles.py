@@ -2,8 +2,10 @@
 
 Each one is the plain, slow way of doing a job that qgdd does faster or
 through a shared routine: the GL(m, q^l) action on subspaces, element
-orders, addition one coordinate and one digit at a time, GF(q)-vector
-arithmetic and row reduction one coordinate at a time, GF(q)-combinations
+orders, addition one coordinate and one digit at a time, digit scaling
+tables one entry at a time, GF(q)-vector arithmetic and row reduction one
+coordinate at a time, canonical bases in stream order from the definition of
+that order, GF(q)-combinations
 one coefficient at a time, the pair keys of a block read from its whole
 span table, containment by rank, superspace rows lifted one
 digit at a time, orbit labels by eliminating every row of every basis, and
@@ -13,6 +15,7 @@ Singer orbit catalogue by cycling every subspace.
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from random import Random
 from typing import Sequence
 
@@ -136,6 +139,37 @@ def coordinate_rref(rows: Sequence[int], q: int, v: int) -> tuple[int, ...]:
         basis.append(x)
     basis.sort(key=lambda b: b.index(1))
     return tuple(pack_coords(b, q) for b in basis)
+
+
+def scale_table_by_entry(q: int, w: int) -> list[list[int]]:
+    """scale[s][x]: s times each base-q digit of x < q^w, one entry at a time."""
+    f = field_for_order(q)
+    return [[pack_coords([f.mul(s, d) for d in unpack_coords(x, q, w)], q)
+             for x in range(q ** w)] for s in range(q)]
+
+
+# -- canonical bases in stream order -------------------------------------------------
+
+def rref_bases_in_order(v: int, d: int, q: int,
+                        shard: tuple[int, int] = (0, 1)) -> list[tuple[int, ...]]:
+    """The canonical d-subspace bases of GF(q)^v in iter_rref_bases order, from
+    its definition: pivot-column sets in lexicographic order; within one, each
+    row's free entries as base-q digits counted up with the lowest free column
+    slowest, and the first row slowest of all.  Shard (i, n) keeps the units j
+    (a pivot set with one completion of its first row) with j % n == i."""
+    i, n = shard
+    out, unit = [], 0
+    for pivots in combinations(range(v), d):
+        per_row = []
+        for p in pivots:
+            free = [j for j in range(p + 1, v) if j not in pivots]
+            per_row.append([q ** p + sum(c * q ** j for c, j in zip(digits, free))
+                            for digits in product(range(q), repeat=len(free))])
+        for head in [(x,) for x in per_row[0]] if d else [()]:
+            if unit % n == i:
+                out += [head + rest for rest in product(*per_row[1:])]
+            unit += 1
+    return out
 
 
 # -- containment ------------------------------------------------------------------

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from qgdd.atlas import OrbitLabel, SpanClass, gl_atlas, gl_order
 from qgdd.fields import FieldTower
-from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases,
-                            iter_superspace_bases, vector_ops)
+from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases, iter_rref_runs,
+                            iter_superspace_bases, iter_superspace_runs, runs_of,
+                            vector_ops)
 
 from oracles import (apply_matrix, column_independence_criterion,
                      label_keys_by_elimination, mixing_matrix, random_gl)
@@ -256,25 +257,32 @@ def test_span_class_partition_m3():
     assert sum(map(at.label_orbit_size, at.orbit_labels(3))) == 788035
 
 
+def run_keys(at, runs):
+    """(basis, key) for each basis prefix + (x,) of a run stream, from label_keys."""
+    return [((*prefix, x), key) for prefix, lasts, keys in at.label_keys(runs)
+            for x, key in zip(lasts, keys, strict=True)]
+
+
 def _superspace_streams(at, k):
-    return [list(iter_superspace_bases(at.realize(lb), k))
-            for lb in at.orbit_labels(2)]
+    """(bases, runs) of the k-superspaces of each row orbit's realized 2-subspace."""
+    return [(list(iter_superspace_bases(U, k)), iter_superspace_runs(U, k))
+            for U in map(at.realize, at.orbit_labels(2))]
 
 
 def test_label_keys_match_oracle_on_sweep(at23):
     bases = list(iter_rref_bases(6, 3, 2))
-    assert list(at23.label_keys(bases)) == label_keys_by_elimination(at23, bases)
+    assert run_keys(at23, iter_rref_runs(6, 3, 2)) == label_keys_by_elimination(at23, bases)
 
 
-@pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9)])
+@pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9), (3, 3, 3)])
 def test_label_keys_match_oracle_on_superspaces(m, l, q):
     # q = 4: p = 2, so packed rows of base-4 digits add by XOR; GF(9^3) is
     # above TABLE_CAP: mid_reduce uses field operations, and packed rows add
     # digit by digit
     at = gl_atlas(m, l, q)
     kinds = set()
-    for bases in _superspace_streams(at, 3):
-        got = list(at.label_keys(iter(bases)))
+    for bases, runs in _superspace_streams(at, 3):
+        got = run_keys(at, runs)
         assert got == label_keys_by_elimination(at, bases)
         kinds.update(key[0] for _, key in got)
     assert {"line", "mixed"} <= kinds
@@ -286,8 +294,8 @@ def test_label_keys_match_oracle_on_4_superspaces(q):
     # every row of (3,2,q) at k = 4: dependencies of four base-q^2 digits
     at = gl_atlas(3, 2, q)
     kinds = set()
-    for bases in _superspace_streams(at, 4):
-        got = list(at.label_keys(iter(bases)))
+    for bases, runs in _superspace_streams(at, 4):
+        got = run_keys(at, runs)
         assert got == label_keys_by_elimination(at, bases)
         kinds.update(key[0] for _, key in got)
     assert kinds == {"mixed", "other"}
@@ -328,13 +336,13 @@ def test_label_keys_match_oracle_on_prefix_sharing_streams(data):
         return data.draw(st.integers(lo, hi))
     at = gl_atlas(*data.draw(st.sampled_from([(2, 4, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9)])))
     stream = _prefix_sharing_stream(at, pick, data.draw(st.integers(1, 12)))
-    assert list(at.label_keys(iter(stream))) == label_keys_by_elimination(at, stream)
+    assert run_keys(at, runs_of(stream)) == label_keys_by_elimination(at, stream)
 
 
 def test_label_keys_prefix_sharing_reaches_every_class():
     at = gl_atlas(2, 4, 2)
     stream = _prefix_sharing_stream(at, Random(5).randint, 400)
-    got = list(at.label_keys(iter(stream)))
+    got = run_keys(at, runs_of(stream))
     assert got == label_keys_by_elimination(at, stream)
     assert {key[0] for _, key in got} == {"line", "mixed", "full", "other"}
     # prefixes shared by consecutive bases of one length: every length occurs
@@ -364,7 +372,7 @@ def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
     monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
     # the stream runs twice, so a lost row memo would unflatten every row again
     stream = bases + bases
-    assert sum(1 for _ in at.label_keys(iter(stream))) == 2 * len(bases)
+    assert len(run_keys(at, runs_of(stream))) == 2 * len(bases)
     assert len(reductions) <= 2 * len(bases) + len(prefixes) + 2
     # every basis shares U's rows, whose rank is 2, so no basis has rank 1:
     # the prefix rows and the first last row are unflattened, then only the
@@ -380,21 +388,22 @@ def test_label_keys_match_oracle_on_full_sweeps(m, l, q, k):
     # the (8,3)_2 and (6,3)_3 sweeps of full-gf2 and odd-q3, whole and in shards
     at, v = gl_atlas(m, l, q), m * l
     want = label_keys_by_elimination(at, iter_rref_bases(v, k, q))
-    assert list(at.label_keys(iter_rref_bases(v, k, q))) == want
+    assert run_keys(at, iter_rref_runs(v, k, q)) == want
     key_of = dict(want)
     for n in (2, 3):
         for i in range(n):
             bases = list(iter_rref_bases(v, k, q, shard=(i, n)))
-            assert list(at.label_keys(iter(bases))) == [(b, key_of[b]) for b in bases]
+            assert run_keys(at, iter_rref_runs(v, k, q, (i, n))) == [(b, key_of[b]) for b in bases]
 
 
-@pytest.mark.parametrize("row", [0, -1], ids=["row0", "span2"])
+@pytest.mark.parametrize("row", [0, 1, 2, -1], ids=["row0", "row1", "row2", "span2"])
 def test_label_keys_match_oracle_on_k4_rows(row):
-    # the 4-superspaces of a span-1 and of the span-2 row of (3,4,4,2),
-    # 174251 each: the stream of incidence-k4 and of acceptance criterion 3
+    # the 4-superspaces of each span-1 row and of the span-2 row of (3,4,4,2),
+    # 174251 each in 4097 runs: the stream of incidence-k4 and of criterion 3
     at = gl_atlas(3, 4, 2)
-    bases = list(iter_superspace_bases(at.realize(at.orbit_labels(2)[row]), 4))
-    assert list(at.label_keys(iter(bases))) == label_keys_by_elimination(at, bases)
+    U = at.realize(at.orbit_labels(2)[row])
+    bases = list(iter_superspace_bases(U, 4))
+    assert run_keys(at, iter_superspace_runs(U, 4)) == label_keys_by_elimination(at, bases)
 
 
 def test_label_keys_match_oracle_on_mixed_lengths():
@@ -409,7 +418,7 @@ def test_label_keys_match_oracle_on_mixed_lengths():
             stream += sweep[:cut]
             del sweep[:cut]
     assert {len(b) for b in stream} == {1, 2, 3, 4}
-    got = list(at.label_keys(iter(stream)))
+    got = run_keys(at, runs_of(stream))
     assert got == label_keys_by_elimination(at, stream)
     assert {key[0] for _, key in got} == {"line", "mixed", "full", "other"}
 
@@ -434,7 +443,7 @@ def test_label_keys_dependency_fixes_the_length(q):
         short, long = (rows[0], rows[1], rows[3]), tuple(rows)
         if ops.rank(short) == 3 and ops.rank(long) == 4:
             stream += [short, long] if rng.randrange(2) else [long, short]
-    got = list(at.label_keys(iter(stream)))
+    got = run_keys(at, runs_of(stream))
     assert got == label_keys_by_elimination(at, stream)
     assert {key[:2] for _, key in got} == {("mixed", 3), ("mixed", 4)}
 
@@ -444,7 +453,8 @@ def test_label_keys_reduces_last_rows_by_linearity(monkeypatch):
     # new last-row difference in the run: 1346 on the 2667 4-superspaces of a
     # (3,3,2) row; one reduction per basis, as without the linear step, is 2990
     at = gl_atlas(3, 3, 2)
-    bases = list(iter_superspace_bases(at.realize(at.orbit_labels(2)[0]), 4))
+    U = at.realize(at.orbit_labels(2)[0])
+    bases = list(iter_superspace_bases(U, 4))
     assert len(bases) == 2667
     want = label_keys_by_elimination(at, bases)
     reductions = []
@@ -455,7 +465,7 @@ def test_label_keys_reduces_last_rows_by_linearity(monkeypatch):
         return reduce(self, *args)
 
     monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
-    assert list(at.label_keys(iter(bases))) == want
+    assert run_keys(at, iter_superspace_runs(U, 4)) == want
     assert len(reductions) <= 1400
 
 
@@ -479,7 +489,7 @@ def test_orbit_labels_realize_and_size(m, l, k, q):
             assert W.dim == d and at.label_key_rows(W.rows) == label.key()
         sizes = {lb.key(): at.label_orbit_size(lb) for lb in labels}
         if gaussian_binomial(v, d, q) <= SWEEP_LIMIT:
-            counts = Counter(key for _, key in at.label_keys(iter_rref_bases(v, d, q)))
+            counts = Counter(key for _, key in run_keys(at, iter_rref_runs(v, d, q)))
             assert {key: counts[key] for key in sizes} == sizes
             assert set(counts) - set(sizes) <= {("other", d, s) for s in range(2, d - 1)}
     assert sum(map(at.label_orbit_size, at.orbit_labels(2))) == gaussian_binomial(v, 2, q)

@@ -146,17 +146,19 @@ def test_repeated_label_counts_alike_in_both_modes(gdd633):
 def test_sampled_labels_drawn_pairs_in_bounded_batches(gdd633, monkeypatch):
     """Each label_keys stream of drawn pairs holds at most LABEL_BATCH of them."""
     whole = verify_gdd(gdd633, mode="sampled", sample=50, seed=7)
-    streams = []
+    sizes = []
     label_keys = GlAtlas.label_keys
 
-    def recorded(self, bases):
-        streams.append(bases)
-        return label_keys(self, bases)
+    def recorded(self, runs):
+        runs = list(runs)
+        sizes.append(sum(len(lasts) for _, lasts in runs))
+        return label_keys(self, runs)
 
     monkeypatch.setattr(designs, "LABEL_BATCH", 8)
     monkeypatch.setattr(GlAtlas, "label_keys", recorded)
     assert verify_gdd(gdd633, mode="sampled", sample=50, seed=7) == whole
-    assert [len(b) for b in streams if isinstance(b, list)] == [8] * 6 + [2]
+    # the block side first labels the [3,2]_2 = 7 pairs of one block per orbit
+    assert sizes[-7:] == [8] * 6 + [2] and set(sizes[:-7]) == {7}
 
 
 @pytest.mark.parametrize("mode", ["full", "sampled"])

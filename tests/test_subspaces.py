@@ -1,19 +1,25 @@
 import inspect
 import itertools
+import math
+import subprocess
+import sys
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgdd.fields import TABLE_CAP, build_tower, field_for_order
+from qgdd.atlas import gl_atlas
+from qgdd.fields import TABLE_CAP, build_tower, digit_scale_table, field_for_order
 from qgdd.subspaces import (Subspace, canonicalize, complement_positions,
                             enumerate_subspaces, gaussian_binomial,
-                            intersection_dim, iter_rref_bases,
-                            iter_superspace_bases, superspaces, vector_ops)
+                            intersection_dim, iter_rref_bases, iter_rref_runs,
+                            iter_superspace_bases, iter_superspace_runs, runs_of,
+                            superspaces, vector_ops)
 
 from oracles import (contains_vector, coordinate_add_scaled, coordinate_rref,
-                     coordinate_span, lift_row)
+                     coordinate_span, lift_row, rref_bases_in_order,
+                     scale_table_by_entry)
 
 
 def brute_count_subspaces(v, d, q):
@@ -155,6 +161,49 @@ def test_rref_shards_deal_out_first_row_completions():
 def test_rref_shard_out_of_range(shard):
     with pytest.raises(ValueError):
         list(iter_rref_bases(4, 2, 2, shard))
+
+
+# -- run streams ------------------------------------------------------------------
+
+def _flat(runs):
+    return [(*prefix, x) for prefix, lasts in runs for x in lasts]
+
+
+@pytest.mark.parametrize("q,v", [(2, 5), (3, 4), (4, 3)])
+def test_rref_runs_flatten_to_the_stream_in_every_shard(q, v):
+    # d = 1 included: there the shard slices the last-row list itself
+    for d in range(v + 1):
+        for n in (1, 2, 3):
+            for i in range(n):
+                want = rref_bases_in_order(v, d, q, (i, n))
+                assert list(iter_rref_bases(v, d, q, (i, n))) == want
+                runs = list(iter_rref_runs(v, d, q, (i, n)))
+                assert _flat(runs) == (want if d else [])
+                assert all(lasts and len(prefix) == d - 1 for prefix, lasts in runs)
+        # every run of a pivot-column set shares one last-row list
+        runs = list(iter_rref_runs(v, d, q))
+        assert len({id(lasts) for _, lasts in runs}) == (math.comb(v, d) if d else 0)
+
+
+def test_runs_of_groups_consecutive_prefixes():
+    bases = [(1, 2), (1, 4), (3, 4), (1, 8), (5,), (6,), (1, 2, 4)]
+    assert list(runs_of(bases)) == [((1,), [2, 4]), ((3,), [4]), ((1,), [8]),
+                                    ((), [5, 6]), ((1, 2), [4])]
+    assert _flat(runs_of(bases)) == bases
+
+
+@pytest.mark.parametrize("m,l,k,q", [(3, 4, 4, 2), (3, 3, 3, 3), (2, 3, 3, 9)])
+def test_superspace_runs_flatten_to_the_lifted_stream(m, l, k, q):
+    # every row orbit's realized 2-subspace: its rows, then each canonical
+    # quotient basis lifted onto its non-pivot positions, in order
+    at = gl_atlas(m, l, q)
+    quotient = rref_bases_in_order(at.v - 2, k - 2, q)
+    for U in map(at.realize, at.orbit_labels(2)):
+        lifted = [lift_row(r, complement_positions(U), q) for r in range(q ** (at.v - 2))]
+        want = [U.rows + tuple(map(lifted.__getitem__, rows)) for rows in quotient]
+        runs = list(iter_superspace_runs(U, k))
+        assert all(prefix[:2] == U.rows for prefix, _ in runs)
+        assert _flat(runs) == want == list(iter_superspace_bases(U, k))
 
 
 def test_superspaces_count_and_filter():
@@ -305,6 +354,28 @@ def test_vector_tables_match_field_arithmetic(q, v):
         assert len(add) == C and all(len(row) == C for row in add)
         for a in range(C):
             assert add[a] == [coordinate_add_scaled(a, 1, x, q, w) for x in range(C)]
+
+
+@pytest.mark.parametrize("q,w", [(3, 1), (3, 5), (4, 4), (5, 3), (9, 2), (16, 2)])
+def test_digit_scale_table_matches_per_entry_oracle(q, w):
+    assert digit_scale_table(q, w) == scale_table_by_entry(q, w)
+
+
+def test_scale_tables_are_shared_per_chunk_width():
+    # q = 243 = 3^5: one digit per chunk below the cap, so every v shares C = 243
+    a, b = vector_ops(243, 2).tables, vector_ops(243, 5).tables
+    assert (a[:2], b[:2]) == ((243, 2), (243, 5))
+    assert a[3] is b[3] is digit_scale_table(243, 1)
+    assert a[3] == scale_table_by_entry(243, 1)
+
+
+def test_import_builds_no_vector_table():
+    code = ("import qgdd, qgdd.cli\n"
+            "from qgdd.fields import digit_add_table, digit_scale_table\n"
+            "print(digit_add_table.cache_info().currsize,"
+            " digit_scale_table.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "0"])
 
 
 def test_vector_tables_cap():
