@@ -200,8 +200,10 @@ def cmd_incidence(args) -> int:
             for i, j, a, b in diffs[:10]:
                 print(f"  row {i} col {j}: closed={a} brute={b}", file=sys.stderr)
             return 1
+        # a --json or --csv document owns stdout
         print("closed and brute-force matrices agree "
-              f"({matrix.shape[0]}x{matrix.shape[1]})")
+              f"({matrix.shape[0]}x{matrix.shape[1]})",
+              file=sys.stderr if args.json or args.csv else sys.stdout)
     if args.json:
         sys.stdout.write(_dump_json(matrix.to_json_dict()))
     elif args.csv:

@@ -18,8 +18,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, compress, groupby, islice, repeat
+from operator import itemgetter, xor
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -110,18 +110,23 @@ def is_simple(design: DesignInstance) -> bool:
 def expand_blocks(design: DesignInstance, budget: int = EXPANSION_BUDGET,
                   shard: tuple[int, int] = (0, 1),
                   ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Stream (canonical rows, multiplicity) for every block.
+    """Stream (canonical rows, multiplicity) for every block: the flattening of _block_runs."""
+    for prefix, lasts, mult in _block_runs(design, budget, shard):
+        yield from zip(map(prefix.__add__, zip(lasts)), repeat(mult))
 
-    Implicit mixed-class labels are expanded by a single labeled sweep over
-    all k-subspaces; span-1 labels expand structurally along the spread.
-    Shard (i, n) streams one of n disjoint parts whose union is the whole
-    stream: the explicit items i, i + n, ..., the line blocks on spread
-    lines i, i + n, ..., and the sweep's shard (i, n) of iter_rref_bases.
-    """
+
+def _block_runs(design: DesignInstance, budget: int, shard: tuple[int, int]
+                ) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
+    """The blocks as runs (prefix, last rows, multiplicity) of blocks prefix + (x,).
+
+    Mixed labels are found by one labeled sweep, a run per run of iter_rref_runs
+    and multiplicity; span-1 labels expand along the spread.  Shard (i, n) is one
+    of n disjoint parts of the stream: the explicit items i, i + n, ..., the line
+    blocks on spread lines i, i + n, ..., and the sweep's iter_rref_runs shard."""
     i, n = shard
     blocks = design.blocks
     if isinstance(blocks, ExplicitBlocks):
-        yield from blocks.items[i::n]
+        yield from _item_runs(blocks.items[i::n])
         return
     _check_sweep_budget(design, budget)
     q, v = design.q, design.v
@@ -130,28 +135,36 @@ def expand_blocks(design: DesignInstance, budget: int = EXPANSION_BUDGET,
     gens = _spread_generators(atlas)[i::n]
     for lw in blocks.line_labels:
         members = list(atlas.singer.cycle(lw.label.rep_rows))
-        for gen in gens:
-            for member in members:
-                yield ops.rref(atlas.line_rows(member, gen)), lw.multiplicity
+        yield from _item_runs((ops.rref(atlas.line_rows(member, gen)), lw.multiplicity)
+                              for gen in gens for member in members)
     # the mixed labels and the span-k orbit, found by one labeled sweep
-    wanted = _swept_weights(blocks)
-    if not wanted:
+    picks = _swept_labels(blocks)
+    if not picks:
         return
     for prefix, lasts, keys in atlas.label_keys(iter_rref_runs(v, blocks.k, q, shard)):
-        for x, mult in zip(lasts, map(wanted.get, keys)):
-            if mult:
-                yield (*prefix, x), mult
+        for mult, chosen in picks.items():
+            run = list(compress(lasts, map(chosen.__contains__, keys)))
+            if run:
+                yield prefix, run, mult
 
 
-def _swept_weights(blocks: ImplicitBlocks) -> dict:
-    """Multiplicity by label key of the block orbits found by the k-subspace sweep."""
-    return {key: w for key, w in _orbit_weights(blocks).items() if key[0] != "line"}
+def _item_runs(items: Iterable[tuple[tuple[int, ...], int]]
+               ) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """(rows, multiplicity) items as runs while all but the last row and the multiplicity repeat."""
+    for (prefix, mult), run in groupby(items, lambda item: (item[0][:-1], item[1])):
+        yield prefix, [rows[-1] for rows, _ in run], mult
+
+
+def _swept_labels(blocks: ImplicitBlocks) -> dict[int, set]:
+    """Label keys by multiplicity of the block orbits found by the k-subspace sweep."""
+    weights = {key: w for key, w in _orbit_weights(blocks).items() if key[0] != "line" and w}
+    return {w: {key for key in weights if weights[key] == w} for w in set(weights.values())}
 
 
 def _check_sweep_budget(design: DesignInstance, budget: int) -> None:
     """Raise if expanding the design would sweep more than budget k-subspaces."""
     blocks = design.blocks
-    if isinstance(blocks, ImplicitBlocks) and _swept_weights(blocks):
+    if isinstance(blocks, ImplicitBlocks) and _swept_labels(blocks):
         total = gaussian_binomial(design.v, blocks.k, design.q)
         if total > budget:
             raise ValueError(
@@ -280,126 +293,128 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
 # pair keys and coverage sweeps
 
 @lru_cache(maxsize=None)
-def _pair_positions(d: int, q: int) -> itemgetter:
-    """Picks from N(rows), d = len(rows) >= 2, the two rows of the canonical coefficient
-    basis of each 2-subspace of GF(q)^d, interleaved, in iter_rref_bases order."""
+def _pair_plan(d: int, q: int) -> tuple[list, list, list, list, list[int]]:
+    """The 2-subspaces of blocks prefix + (x,) of d rows as pairs of positions in N(prefix),
+    the combinations with lowest nonzero coefficient 1, or columns of _columns: the pairs
+    of two positions, of one and a column, of a column and one, of two columns, each in
+    iter_rref_bases order; then rank, pair i of that order being rank[i] of those chained."""
     coeffs: list[int] = []
     for j in range(d):  # the coefficient vectors of N(rows), in its order
         coeffs = [c + b * q ** j for b in range(q) for c in coeffs] + [q ** j]
-    at = {c: i for i, c in enumerate(coeffs)}
-    return itemgetter(*(at[c] for basis in iter_rref_bases(d, 2, q) for c in basis))
+    at, n = {c: i for i, c in enumerate(coeffs)}, (q ** (d - 1) - 1) // (q - 1)
+    pairs = [(at[a], at[b]) for a, b in iter_rref_bases(d, 2, q)] if d > 1 else []
+    kinds = [2 * (a >= n) + (b >= n) for a, b in pairs]  # columns past n
+    order = sorted(range(len(pairs)), key=kinds.__getitem__)
+    plan = [[(a - n * (a >= n), b - n * (b >= n)) for (a, b), t in zip(pairs, kinds) if t == kind]
+            for kind in range(4)]
+    return (*plan, sorted(range(len(order)), key=order.__getitem__))
 
 
-def _normalized(q: int, v: int, combos: list[int], parts: tuple, x: int) -> list[int]:
-    """N(rows + (x,)) = [c + b·x for b in GF(q) for c in N(rows)] + [x] from combos = N(rows),
-    the combinations of rows with lowest nonzero coefficient 1, and parts (_head_normalized).
-    Rows are added by XOR at q = 2; with parts, by table lookup on the low and the high
-    chunk of VectorOps.tables, then joined; else by VectorOps.add."""
+def _columns(q: int, v: int, combos: list[int], lasts: Sequence[int]) -> list[Sequence[int]]:
+    """Columns over lasts of N(rows + (x,)) past combos = N(rows): c + b·x for b != 0 and
+    c in combos, then x.  Rows add by XOR at q = 2; at odd p, when VectorOps.tables cut
+    a row into at most two chunks, by a lookup per chunk; else by VectorOps.add."""
     if q == 2:
-        return combos + [x ^ c for c in combos] + [x]
+        return [[c ^ x for x in lasts] for c in combos] + [lasts]
     ops = vector_ops(q, v)
-    if not parts:
-        mults = [ops.smul(b, x) for b in range(1, q)]
-        return combos + [ops.add(c, m) for m in mults for c in combos] + [x]
-    C, _, add, scale = ops.tables
-    adds = [(add[s[x % C]], add[s[x // C]]) for s in scale[1:]]
-    return combos + [hi[h] * C + lo[l] for lo, hi in adds for l, h in zip(*parts)] + [x]
+    C, n, add, scale = ops.tables or (0, 0, None, None)
+    cols: list[Sequence[int]] = []
+    if add and n <= 2:  # add is None at p = 2
+        lows, highs = [add[c % C] for c in combos], [add[c // C] for c in combos]
+        for s in scale[1:]:
+            xlo, xhi = [s[x % C] for x in lasts], [s[x // C] for x in lasts]
+            cols += [[hi[h] * C + lo[l] for l, h in zip(xlo, xhi)]
+                     for lo, hi in zip(lows, highs)]
+    else:
+        plus = xor if ops.p == 2 else ops.add
+        for b in range(1, q):
+            mults = [ops.smul(b, x) for x in lasts]
+            cols += [[plus(c, m) for m in mults] for c in combos]
+    return cols + [lasts]
 
 
-@lru_cache(maxsize=1)  # the sweep varies the last row fastest
-def _head_normalized(q: int, v: int, head: tuple[int, ...]) -> tuple[list[int], tuple]:
-    """N(head) and, at odd p when VectorOps.tables cut a row into at most two
-    chunks, the low and high chunks of its rows; built once per run of blocks
-    that share head."""
-    combos = _normalized(q, v, *_head_normalized(q, v, head[:-1]), head[-1]) if head else []
-    C, n = (vector_ops(q, v).tables or (0, 0))[:2] if q % 2 else (0, 0)
-    return combos, ([c % C for c in combos], [c // C for c in combos]) if 0 < n <= 2 else ()
+def _run_pair_keys(prefix: Sequence[int], lasts: Sequence[int], q: int,
+                   v: int) -> tuple[list[int], list[list[int]]]:
+    """Packed keys a·q^v + b, (a, b) the canonical basis rows of a 2-subspace, of the
+    pairs inside the canonical blocks prefix + (x,), x in lasts: the keys inside the
+    prefix, and one key list over lasts per other pair.  A canonical coefficient basis
+    has pivots 1, so its combination with the rows is the canonical basis of its image."""
+    combos = list(prefix[:1])
+    for row in prefix[1:]:  # N(rows + (row,)) from N(rows), a run of one
+        combos += [col[0] for col in _columns(q, v, combos, (row,))]
+    cols = _columns(q, v, combos, lasts)
+    inside, left, right, both, _ = _pair_plan(len(prefix) + 1, q)
+    qv = q ** v
+    keys = [[h + y for y in cols[b]] for a, b in left for h in (combos[a] * qv,)]
+    keys += [[x * qv + c for x in cols[a]] for a, b in right for c in (combos[b],)]
+    keys += [[x * qv + y for x, y in zip(cols[a], cols[b])] for a, b in both]
+    return [combos[a] * qv + combos[b] for a, b in inside], keys
 
 
 def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int, int]]:
-    """Canonical basis rows of each 2-subspace inside the block spanned by rows.
-
-    The block rows are canonical, so the combination of them with a canonical
-    coefficient basis, whose pivots are 1, is the canonical basis of its image:
-    the keys are read from N(rows), with N(rows[:-1]) built once per run of blocks.
-    """
+    """Canonical basis rows of each 2-subspace inside the block of canonical
+    rows, in iter_rref_bases order: _run_pair_keys of a run of one."""
     if len(rows) < 2:
         return
-    combos = _normalized(q, v, *_head_normalized(q, v, rows[:-1]), rows[-1])
-    picked = iter(_pair_positions(len(rows), q)(combos))
-    yield from zip(picked, picked)
-
-
-def _sweep_chunk(items: Iterable[tuple[tuple[int, ...], int]], q: int,
-                 v: int) -> tuple[Counter, int]:
-    """Pair-key tally and block count of (rows, multiplicity) items.
-
-    The keys of the blocks of multiplicity 1 are counted in one
-    Counter.update, the others block by block with their multiplicity.
-    """
-    counts: Counter = Counter()
-    n_blocks = 0
-
-    def singles() -> Iterator[Iterator[tuple[int, int]]]:
-        nonlocal n_blocks
-        for rows, mult in items:
-            n_blocks += mult
-            if mult == 1:
-                yield block_pair_keys(rows, q, v)
-            else:  # the keys of one block are distinct
-                counts.update(dict.fromkeys(block_pair_keys(rows, q, v), mult))
-
-    counts.update(chain.from_iterable(singles()))
-    return counts, n_blocks
+    shared, keys = _run_pair_keys(rows[:-1], rows[-1:], q, v)
+    flat = shared + [key for key, in keys]
+    yield from map(divmod, map(flat.__getitem__, _pair_plan(len(rows), q)[-1]), repeat(q ** v))
 
 
 def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
-                 budget: int) -> tuple[list, list, list, int]:
-    """A pool worker of coverage_counter: the pair tally of one shard of the blocks.
+                 budget: int) -> tuple[list, list, int]:
+    """Packed pair keys, their counts and the block count of a shard of _block_runs; a
+    pool worker given the design itself, so any start method serves.  The key lists of
+    runs of multiplicity 1 stream into one Counter.update, the others add with weight."""
+    counts, n_blocks = Counter(), 0
 
-    It takes the design itself, so it runs under any start method, and
-    reads expand_blocks from this module at call time.  The tally goes back
-    as flat int lists (first key rows, second key rows, counts) and the
-    block count: ints pickle with no memo entry, where each key tuple
-    would take one.
-    """
-    counts, n_blocks = _sweep_chunk(expand_blocks(design, budget, shard),
-                                    design.q, design.v)
-    return [a for a, _ in counts], [b for _, b in counts], list(counts.values()), n_blocks
+    def singles() -> Iterator[list[list[int]]]:
+        nonlocal n_blocks
+        for prefix, lasts, mult in _block_runs(design, budget, shard):
+            n_blocks += (weight := len(lasts) * mult)
+            shared, keys = _run_pair_keys(prefix, lasts, design.q, design.v)
+            for key in shared:
+                counts[key] += weight
+            if mult == 1:
+                yield keys
+            else:
+                for key in chain.from_iterable(keys):
+                    counts[key] += mult
+
+    counts.update(chain.from_iterable(chain.from_iterable(singles())))
+    return list(counts), list(counts.values()), n_blocks
 
 
 def coverage_counter(design: DesignInstance, threads: int = 1,
                      budget: int = EXPANSION_BUDGET) -> tuple[Counter, int]:
-    """Pair-coverage counter and block count by full expansion.
-
-    threads > 1 runs one process per shard of expand_blocks, at most
-    os.cpu_count() of them; each expands, keys and tallies its own blocks,
-    and only the tallies come back, summed in shard order.  The budget is
-    checked here, before any process starts.
-    """
+    """Pair-coverage counter, keyed by canonical basis rows, and block count by full
+    expansion.  threads > 1 runs one process per shard, at most os.cpu_count();
+    only the tallies come back, summed in shard order.  The budget is checked
+    here, before any process starts."""
     _check_sweep_budget(design, budget)
     workers = min(threads, os.cpu_count() or 1)
+    qv = design.q ** design.v
     if workers <= 1:
-        return _sweep_chunk(expand_blocks(design, budget), design.q, design.v)
+        return _merge_tallies([_sweep_shard(design, (0, 1), budget)], qv)
     shards = [(i, workers) for i in range(workers)]
     sweep = partial(_sweep_shard, design, budget=budget)
     try:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _merge_tallies(pool.map(sweep, shards))
+            return _merge_tallies(pool.map(sweep, shards), qv)
     except OSError:  # pragma: no cover - process pools unavailable
-        return _merge_tallies(map(sweep, shards))
+        return _merge_tallies(map(sweep, shards), qv)
 
 
-def _merge_tallies(parts: Iterable[tuple[list, list, list, int]]) -> tuple[Counter, int]:
-    """Sum the flat tallies of _sweep_shard into one pair-key counter and block count."""
-    counts: Counter = Counter()
-    n_blocks = 0
-    for firsts, seconds, values, n in parts:
-        for key, c in zip(zip(firsts, seconds), values):
-            counts[key] += c
+def _merge_tallies(parts: Iterable[tuple[list, list, int]], qv: int) -> tuple[Counter, int]:
+    """Sum the tallies of _sweep_shard into one counter keyed by (a, b) for each key a·qv + b."""
+    rows, n_blocks, row = Counter(), 0, {}  # one int object per row value, shared by its keys
+    for keys, values, n in parts:
+        for key, c in zip(keys, values):
+            a, b = divmod(key, qv)
+            rows[row.setdefault(a, a), row.setdefault(b, b)] += c
         n_blocks += n
-    return counts, n_blocks
+    return rows, n_blocks
 
 
 def group_pair_keys(groups: Sequence[Subspace]) -> set[tuple]:
@@ -869,9 +884,11 @@ def _check_hole_restriction(q: int, n: int, k: int, hole: Subspace,
         if inside:
             raise ValueError("blocks inside a hole of dimension < 2")
         return
-    counts, _ = _sweep_chunk(inside, q, hole.v)
+    restricted = DesignInstance(q=q, v=hole.v, kind="design", K=(k,), claimed_lambda=lam,
+                                blocks=ExplicitBlocks(tuple(inside)))
+    counts, _ = coverage_counter(restricted)
     for key in block_pair_keys(hole.rows, q, hole.v):
-        if counts.get(key, 0) != lam:
+        if counts[key] != lam:
             raise ValueError(
                 "master restricted to the hole is not a design with the "
                 f"expected coverage {lam}")

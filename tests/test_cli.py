@@ -115,6 +115,19 @@ def test_incidence_json(capsys):
     assert body["entries"] == [[1, 14, 0], [0, 9, 6]]
 
 
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_incidence_both_document_owns_stdout(capsys, fmt):
+    # with a document on stdout the verdict goes to stderr
+    args = ["incidence", "--m", "2", "--l", "3", "--k", "3", "--q", "2"]
+    code, closed, _ = run_cli(args + ["--mode", "closed", fmt], capsys)
+    assert code == 0
+    code, out, err = run_cli(args + ["--mode", "both", fmt], capsys)
+    assert code == 0 and out == closed
+    assert err.strip() == "closed and brute-force matrices agree (2x3)"
+    if fmt == "--json":
+        assert json.loads(out)["entries"] == [[1, 14, 0], [0, 9, 6]]
+
+
 def test_build_and_verify_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "g.json"
     code, out, _ = run_cli(

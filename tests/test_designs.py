@@ -16,7 +16,7 @@ from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           verify_gdd)
 from qgdd.designfile import design_from_json_dict, design_to_json_dict
 from qgdd.subspaces import (Subspace, gaussian_binomial, intersection_dim,
-                            iter_rref_bases, vector_ops)
+                            iter_rref_bases, iter_rref_runs, vector_ops)
 
 from oracles import combine, contains_vector, span_pair_keys
 
@@ -1082,7 +1082,8 @@ def test_pair_tally_matches_span_oracle_by_shard(shard_design, n):
     total = Counter()
     for i in range(n):
         items = list(expand_blocks(shard_design, shard=(i, n)))
-        tally = designs._merge_tallies([designs._sweep_shard(shard_design, (i, n), 10 ** 6)])
+        tally = designs._merge_tallies([designs._sweep_shard(shard_design, (i, n), 10 ** 6)],
+                                       q ** v)
         assert tally == (_span_oracle_tally(items, q, v), sum(m for _, m in items))
         total += tally[0]
     assert coverage_counter(shard_design) == (total, block_count(shard_design))
@@ -1104,9 +1105,9 @@ def test_pair_keys_of_interleaved_spaces():
 
 
 def test_set_up_builds_no_pair_key_state(tmp_path):
-    # the pair-key caches fill on the first block_pair_keys call, never while
-    # a design is built or loaded: set-up stays as cheap as before them
-    caches = (designs._head_normalized, designs._pair_positions)
+    # the pair-key cache fills on the first block_pair_keys call, never while
+    # a design is built or loaded: set-up stays as cheap as before it
+    caches = (designs._pair_plan,)
     for cache in caches:
         cache.cache_clear()
     design = build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1}))
@@ -1114,9 +1115,87 @@ def test_set_up_builds_no_pair_key_state(tmp_path):
     path.write_text(json.dumps(design_to_json_dict(design)))
     loaded = design_from_json_dict(json.loads(path.read_text()))
     assert loaded.blocks == design.blocks
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0]
     list(block_pair_keys(loaded.groups[0].rows, 3, 6))
-    assert [cache.cache_info().currsize for cache in caches] == [1, 1]
+    assert [cache.cache_info().currsize for cache in caches] == [1]
+
+
+# -- pair keys of whole runs, against the span table and a per-block tally -------------
+
+def _packed_span_keys(rows, q, v):
+    return sorted(a * q ** v + b for a, b in span_pair_keys(rows, q, v))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_run_pair_keys_match_span_oracle(q, k):
+    # sampled runs of the k-subspace sweep, cut to runs of several blocks and of
+    # one: the prefix keys are those of the prefix, and with column j they are
+    # the keys of block j (a packed key is a·q^v + b, a the first basis row)
+    v = k + 2 if q ** (k + 2) <= 5000 else k + 1
+    rng = Random(10 * q + k)
+    runs = list(iter_rref_runs(v, k, q))
+    for prefix, lasts in rng.sample(runs, min(len(runs), 5)):
+        for part in (list(lasts[:4]), [lasts[-1]], list(lasts[1::3][:3])):
+            shared, keys = designs._run_pair_keys(prefix, part, q, v)
+            assert sorted(shared) == _packed_span_keys(prefix, q, v)
+            assert all(len(col) == len(part) for col in keys)
+            for j, x in enumerate(part):
+                got = sorted(shared + [col[j] for col in keys])
+                assert got == _packed_span_keys(prefix + (x,), q, v), (prefix, x)
+
+
+@pytest.mark.parametrize("q,v", [(2, 6), (3, 5), (4, 4), (9, 3)])
+def test_pair_tally_of_runs_matches_per_block_tally(q, v):
+    # sorted explicit items run while the prefix and the multiplicity repeat
+    # (multiplicities 1-4); shuffled, they are mostly runs of one
+    rng = Random(q * v)
+    items = [(rows, rng.choice((1, 1, 2, 3, 4))) for k in (2, 3, 4) if k <= v
+             for rows in iter_rref_bases(v, k, q) if rng.random() < 0.5]
+    want = (_span_oracle_tally(items, q, v), sum(m for _, m in items))
+    runs = list(designs._block_runs(_explicit_in_order(q, v, items), 10 ** 6, (0, 1)))
+    assert max(len(lasts) for _, lasts, _ in runs) > 1
+    assert {m for *_, m in runs} == {1, 2, 3, 4}
+    assert coverage_counter(_explicit_in_order(q, v, items)) == want
+    rng.shuffle(items)
+    assert coverage_counter(_explicit_in_order(q, v, items)) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_runs_with_omega_and_weights_match_per_block_tally(monkeypatch, n):
+    # (9,3,3)_2 with the span-3 orbit (weight 1) and a mixed label of weight 2:
+    # a run of the sweep splits by multiplicity.  The design has 760368 blocks
+    # with multiplicity, so each shard is checked on the first 200 runs of its stream
+    from dataclasses import replace
+    from itertools import islice
+    g = build_gdd(3, 3, 3, 2, GddSelection.of({(2, 3): 1}, omega_kk=True))
+    design = replace(g, blocks=replace(g.blocks, labels=tuple(
+        LabelWeight(lw.label, 2) for lw in g.blocks.labels)))
+    for i in range(n):
+        runs = list(islice(designs._block_runs(design, 10 ** 6, (i, n)), 200))
+        items = [(prefix + (x,), m) for prefix, lasts, m in runs for x in lasts]
+        assert items == list(islice(expand_blocks(design, shard=(i, n)), len(items)))
+        assert {m for *_, m in runs} == {1, 2}
+        monkeypatch.setattr(designs, "_block_runs", lambda *args, runs=runs: iter(runs))
+        tally = designs._merge_tallies([designs._sweep_shard(design, (i, n), 10 ** 6)], 2 ** 9)
+        monkeypatch.undo()
+        assert tally == (_span_oracle_tally(items, 2, 9), sum(m for _, m in items))
+
+
+def test_coverage_counter_streams_its_keys():
+    # the (6,3,3,24)_3 sweep keys 255528 pairs: built into one list they take
+    # about 9.8 MB, streamed run by run the tally peaks below 2 MB
+    import tracemalloc
+    g = build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1}))
+    counts, n_blocks = coverage_counter(g)  # fills the field and plan caches
+    assert sum(counts.values()) == 255528 and n_blocks == 19656
+    tracemalloc.start()
+    try:
+        assert coverage_counter(g) == (counts, n_blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"coverage_counter peaked at {peak / 2 ** 20:.1f} MB"
 
 
 def _oracle_sampled_report(design, sample, seed):
@@ -1161,13 +1240,13 @@ def test_sampled_explicit_expands_each_block_once(gdd633, monkeypatch, sample):
     import qgdd.designs as designs
     design = supplementary(gdd633)
     calls = []
-    real = designs.block_pair_keys
+    real = designs._run_pair_keys
 
-    def counted(rows, q, v):
-        calls.append(rows)
-        return real(rows, q, v)
+    def counted(prefix, lasts, q, v):
+        calls.extend(prefix + (x,) for x in lasts)
+        return real(prefix, lasts, q, v)
 
-    monkeypatch.setattr(designs, "block_pair_keys", counted)
+    monkeypatch.setattr(designs, "_run_pair_keys", counted)
     report = verify_design(design, mode="sampled", sample=sample, seed=1)
     assert report.passed and report.checked == sample
     assert sorted(calls) == [rows for rows, _ in design.blocks.items]
