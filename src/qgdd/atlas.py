@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .fields import FieldTower, build_tower, pack_coords, prime_power, unpack_coords
 from .singer import SingerAction, singer_action
-from .subspaces import Subspace, runs_of, vector_ops
+from .subspaces import Subspace, vector_ops
 
 GL_BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -122,25 +122,29 @@ class GlAtlas:
         raising, so streaming sweeps can tally them.  One-shot; sweeps over
         many bases use label_keys.
         """
-        return next(self.label_keys(runs_of((rows,))))[2][0]
+        return next(self.label_keys([(rows[1:], rows[:1])]))[2][0]
 
     def label_keys(self, runs: Iterable[tuple[Sequence[int], Sequence[int]]]
                    ) -> Iterator[tuple[Sequence[int], Sequence[int], list[tuple]]]:
-        """Stream (prefix, last rows, keys) over runs of bases prefix + (x,), x in
-        last rows: keys[j] = label_key_rows(prefix + (last rows[j],)).
+        """Stream (tail, first rows, keys) over runs of bases (x,) + tail, x in
+        first rows: keys[j] = label_key_rows((first rows[j],) + tail).
 
-        The prefix is eliminated over GF(q^l) with a tracked transform, keeping
-        the echelon of each leading part, so a run reduces only the prefix rows
-        past those it shares with the run before.  A last row x is reduced as
-        [x | e_(k-1)] at width 0 (not scaled, not kept) into red(x), one int of
-        m + k base-Q digits, GF(q)-linear in x and added digit-wise over GF(p)
-        (XOR at p = 2).  So a run reduces its first last row and each new
-        difference x - x' of consecutive last rows (taken once per last-row
-        list, reduced once per prefix), builds its reductions in one accumulate
-        pass and reads its keys in one list pass.  A nonzero residual red % Q^m
-        gives the prefix's one key for a rank one higher; a zero residual keeps
-        the rank, and at rank k - 1 the transform red // Q^m is the first
-        dependency, whose top digit 1 fixes k.  Only rank 1 reads the row.
+        A label does not depend on the order of a basis: it is read from the
+        GF(q^l)-rank of the rows and from the GF(q)-span of the coefficients of
+        their first dependency, and reordering the rows only permutes those
+        coefficients.  So the rows are eliminated tail first.  The tail is
+        eliminated over GF(q^l) with a tracked transform, keeping the echelon of
+        each leading part, so a run reduces only the tail rows past those it
+        shares with the run before.  A first row x is reduced as [x | e_(k-1)]
+        at width 0 (not scaled, not kept) into red(x), one int of m + k base-Q
+        digits, GF(q)-linear in x and added digit-wise over GF(p) (XOR at
+        p = 2).  So a run reduces its first x and each new difference x - x' of
+        consecutive first rows (taken once per first-row list, reduced once per
+        tail), builds its reductions in one accumulate pass and reads its keys
+        in one list pass.  A nonzero residual red % Q^m gives the tail's one key
+        for a rank one higher; a zero residual keeps the rank, and at rank
+        k - 1 the transform red // Q^m is the first dependency, whose top digit
+        1 fixes k.  Only rank 1 reads the row.
         """
         tower, Q, m = self.tower, self.Q, self.m
         unflatten = lru_cache(maxsize=None)(tower.unflatten_packed)  # each value once
@@ -151,7 +155,7 @@ class GlAtlas:
 
         @lru_cache(maxsize=None)
         def mixed(dep: tuple[int, ...] | int) -> tuple:
-            # a first dependency (a prefix row's, or a last row's packed) spans
+            # a first dependency (a tail row's, or a first row's packed) spans
             # 1 and the mixing coefficients
             coeffs = unpack_coords(dep, Q, k) if isinstance(dep, int) else dep
             span = self._ops_l.rref([mid_to_pow[c] for c in coeffs])
@@ -162,29 +166,29 @@ class GlAtlas:
             assert len(key) == k, "line-class ratios must stay independent"
             return "line", k, orbit_containing(key).rep.rows
 
-        @lru_cache(maxsize=None)  # cleared on each new prefix
+        @lru_cache(maxsize=None)  # cleared on each new tail
         def step(diff: int) -> int:
             return pack_coords(reduce(echelon, list(unflatten(diff)) + [0] * k, 0), Q)
 
-        head = None     # the prefix of the run before
+        head = None     # the tail of the run before
         vecs: list[tuple[int, ...]] = []
         echelon: list[tuple[int, list[int]]] = []
         deps: list[tuple[int, ...]] = []
         # (len(echelon), len(deps)) after each leading part of head
         marks: list[tuple[int, int]] = [(0, 0)]
-        seen = diffs = None  # the last-row list whose consecutive differences are diffs
-        for prefix, lasts in runs:
-            if prefix != head:
-                k = len(prefix) + 1
+        seen = diffs = None  # the first-row list whose consecutive differences are diffs
+        for tail, firsts in runs:
+            if tail != head:
+                k = len(tail) + 1
                 shared = 0
                 if len(vecs) == k - 1:
-                    while shared < k - 1 and prefix[shared] == head[shared]:
+                    while shared < k - 1 and tail[shared] == head[shared]:
                         shared += 1
                 del vecs[shared:], marks[shared + 1:]
                 n_ech, n_dep = marks[shared]
                 del echelon[n_ech:], deps[n_dep:]
                 for i in range(shared, k - 1):
-                    x = unflatten(prefix[i])
+                    x = unflatten(tail[i])
                     # the input row followed by its transform, eliminated together
                     cur = list(x) + [0] * k
                     cur[m + i] = 1
@@ -193,29 +197,29 @@ class GlAtlas:
                         deps.append(tuple(dep[m:]))
                     vecs.append(x)
                     marks.append((len(echelon), len(deps)))
-                head, rank = prefix, len(echelon)
+                head, rank = tail, len(echelon)
                 step.cache_clear()
-                # the key of a last row off the prefix's span: rank + 1 is 1
+                # the key of a first row off the tail's span: rank + 1 is 1
                 # only at k = 1 (full), as no row of a basis is 0
                 own = (("full", k) if rank + 1 == k else mixed(deps[0]) if rank + 2 == k
                        else ("other", k, rank + 1))
-            cur = list(unflatten(lasts[0])) + [0] * k
+            cur = list(unflatten(firsts[0])) + [0] * k
             cur[-1] = 1
             red = reduce(echelon, cur, 0)
-            if len(lasts) == 1 and any(red[:m]):  # a lone row off the prefix's span
-                yield prefix, lasts, [own]
+            if len(firsts) == 1 and any(red[:m]):  # a lone row off the tail's span
+                yield tail, firsts, [own]
                 continue
-            if lasts is not seen:
-                seen, diffs = lasts, list(map(sub, lasts[1:], lasts))
+            if firsts is not seen:
+                seen, diffs = firsts, list(map(sub, firsts[1:], firsts))
             reds = accumulate(map(step, diffs), add, initial=pack_coords(red, Q))
             if rank == 1:
-                keys = [own if r % Qm else line(x) for r, x in zip(reds, lasts)]
+                keys = [own if r % Qm else line(x) for r, x in zip(reds, firsts)]
             elif rank < k - 1:
                 other = ("other", k, rank)
                 keys = [own if r % Qm else other for r in reds]
             else:  # rank k - 1: the transform is the first dependency
                 keys = [own if r % Qm else mixed(r // Qm) for r in reds]
-            yield prefix, lasts, keys
+            yield tail, firsts, keys
 
     def line_form(self, vecs: Sequence[Sequence[int]]) -> tuple[int, ...]:
         """Canonical rows of the W in GF(q^l) with span(vecs) = W.x, vecs in one line.

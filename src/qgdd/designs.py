@@ -18,8 +18,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain, compress, groupby, islice, repeat
-from operator import itemgetter, xor
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -27,8 +27,7 @@ from . import incidence
 from .atlas import GlAtlas, OrbitLabel, check_block_dim, gl_atlas
 from .fields import unpack_coords
 from .singer import n_orbits_with_stabilizer, singer_action
-from .subspaces import (Subspace, gaussian_binomial, iter_rref_bases, iter_rref_runs,
-                        runs_of, vector_ops)
+from .subspaces import Subspace, gaussian_binomial, iter_rref_bases, iter_rref_runs, vector_ops
 # Not called here; perfbench/spans.py still traces it under this module.
 from .subspaces import iter_superspace_bases  # noqa: F401
 
@@ -111,48 +110,55 @@ def expand_blocks(design: DesignInstance, budget: int = EXPANSION_BUDGET,
                   shard: tuple[int, int] = (0, 1),
                   ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Stream (canonical rows, multiplicity) for every block: the flattening of _block_runs."""
-    for prefix, lasts, mult in _block_runs(design, budget, shard):
-        yield from zip(map(prefix.__add__, zip(lasts)), repeat(mult))
+    for tail, firsts, mult in _block_runs(design, budget, shard):
+        for x in firsts:
+            yield (x, *tail), mult
 
 
 def _block_runs(design: DesignInstance, budget: int, shard: tuple[int, int]
                 ) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
-    """The blocks as runs (prefix, last rows, multiplicity) of blocks prefix + (x,).
+    """The blocks as runs (tail, first rows, multiplicity) of canonical blocks (x,) + tail,
+    x in first rows: the tail is all rows but the first, which has the lowest pivot.
 
-    Mixed labels are found by one labeled sweep, a run per run of iter_rref_runs
-    and multiplicity; span-1 labels expand along the spread.  Shard (i, n) is one
-    of n disjoint parts of the stream: the explicit items i, i + n, ..., the line
-    blocks on spread lines i, i + n, ..., and the sweep's iter_rref_runs shard."""
+    Mixed labels are found by one labeled sweep, a run per run of iter_rref_runs and
+    multiplicity; span-1 labels expand along the spread.  Explicit items and line blocks
+    are grouped by tail and multiplicity (_item_runs).  Shard (i, n) is one of n disjoint
+    parts of the stream: the runs i, i + n, ... of each source, the sweep's being the
+    iter_rref_runs shard."""
     i, n = shard
     blocks = design.blocks
     if isinstance(blocks, ExplicitBlocks):
-        yield from _item_runs(blocks.items[i::n])
+        yield from islice(_item_runs(blocks.items), i, None, n)
         return
     _check_sweep_budget(design, budget)
     q, v = design.q, design.v
     atlas = gl_atlas(blocks.m, blocks.l, q)
     ops = vector_ops(q, v)
-    gens = _spread_generators(atlas)[i::n]
-    for lw in blocks.line_labels:
-        members = list(atlas.singer.cycle(lw.label.rep_rows))
-        yield from _item_runs((ops.rref(atlas.line_rows(member, gen)), lw.multiplicity)
-                              for gen in gens for member in members)
+    gens = _spread_generators(atlas)
+    lines = ((ops.rref(atlas.line_rows(member, gen)), lw.multiplicity)
+             for lw in blocks.line_labels for member in atlas.singer.cycle(lw.label.rep_rows)
+             for gen in gens)
+    yield from islice(_item_runs(lines), i, None, n)
     # the mixed labels and the span-k orbit, found by one labeled sweep
     picks = _swept_labels(blocks)
     if not picks:
         return
-    for prefix, lasts, keys in atlas.label_keys(iter_rref_runs(v, blocks.k, q, shard)):
+    for tail, firsts, keys in atlas.label_keys(iter_rref_runs(v, blocks.k, q, shard)):
         for mult, chosen in picks.items():
-            run = list(compress(lasts, map(chosen.__contains__, keys)))
+            run = list(compress(firsts, map(chosen.__contains__, keys)))
             if run:
-                yield prefix, run, mult
+                yield tail, run, mult
 
 
 def _item_runs(items: Iterable[tuple[tuple[int, ...], int]]
                ) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """(rows, multiplicity) items as runs while all but the last row and the multiplicity repeat."""
-    for (prefix, mult), run in groupby(items, lambda item: (item[0][:-1], item[1])):
-        yield prefix, [rows[-1] for rows, _ in run], mult
+    """(rows, multiplicity) items as runs (tail, first rows, multiplicity), one per tail and
+    multiplicity in order of first appearance: sorted items seldom share a tail in a row."""
+    runs: dict[tuple[tuple[int, ...], int], list[int]] = {}
+    for rows, mult in items:
+        runs.setdefault((rows[1:], mult), []).append(rows[0])
+    for (tail, mult), firsts in runs.items():
+        yield tail, firsts, mult
 
 
 def _swept_labels(blocks: ImplicitBlocks) -> dict[int, set]:
@@ -293,62 +299,49 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
 # pair keys and coverage sweeps
 
 @lru_cache(maxsize=None)
-def _pair_plan(d: int, q: int) -> tuple[list, list, list, list, list[int]]:
-    """The 2-subspaces of blocks prefix + (x,) of d rows as pairs of positions in N(prefix),
-    the combinations with lowest nonzero coefficient 1, or columns of _columns: the pairs
-    of two positions, of one and a column, of a column and one, of two columns, each in
-    iter_rref_bases order; then rank, pair i of that order being rank[i] of those chained."""
-    coeffs: list[int] = []
-    for j in range(d):  # the coefficient vectors of N(rows), in its order
-        coeffs = [c + b * q ** j for b in range(q) for c in coeffs] + [q ** j]
-    at, n = {c: i for i, c in enumerate(coeffs)}, (q ** (d - 1) - 1) // (q - 1)
-    pairs = [(at[a], at[b]) for a, b in iter_rref_bases(d, 2, q)] if d > 1 else []
-    kinds = [2 * (a >= n) + (b >= n) for a, b in pairs]  # columns past n
-    order = sorted(range(len(pairs)), key=kinds.__getitem__)
-    plan = [[(a - n * (a >= n), b - n * (b >= n)) for (a, b), t in zip(pairs, kinds) if t == kind]
-            for kind in range(4)]
-    return (*plan, sorted(range(len(order)), key=order.__getitem__))
+def _pair_plan(d: int, q: int) -> tuple[list, list, list[int]]:
+    """The 2-subspaces of blocks (x,) + tail of d rows, from the canonical bases (A, B) of
+    the 2-subspaces of the coefficient space GF(q)^d, coordinate 0 for x: the pairs inside
+    the tail, (A, B) // q, and the pairs through x, (c, B // q) for A = 1 + q·c, each an
+    index pair into span(tail) in iter_rref_bases order; then rank, pair i of that order
+    being rank[i] of the two chained."""
+    pairs = list(iter_rref_bases(d, 2, q)) if d > 1 else []
+    inside = [(a // q, b // q) for a, b in pairs if a % q == 0]
+    through = [(a // q, b // q) for a, b in pairs if a % q]
+    order = sorted(range(len(pairs)), key=lambda j: pairs[j][0] % q)  # inside first
+    return inside, through, sorted(range(len(order)), key=order.__getitem__)
 
 
-def _columns(q: int, v: int, combos: list[int], lasts: Sequence[int]) -> list[Sequence[int]]:
-    """Columns over lasts of N(rows + (x,)) past combos = N(rows): c + b·x for b != 0 and
-    c in combos, then x.  Rows add by XOR at q = 2; at odd p, when VectorOps.tables cut
-    a row into at most two chunks, by a lookup per chunk; else by VectorOps.add."""
-    if q == 2:
-        return [[c ^ x for x in lasts] for c in combos] + [lasts]
+def _shifted(q: int, v: int, firsts: Sequence[int], c: int) -> list[int]:
+    """[x + c for x in firsts] at odd p: a lookup per chunk when VectorOps.tables cut a
+    row into at most two chunks, else VectorOps.add."""
     ops = vector_ops(q, v)
-    C, n, add, scale = ops.tables or (0, 0, None, None)
-    cols: list[Sequence[int]] = []
-    if add and n <= 2:  # add is None at p = 2
-        lows, highs = [add[c % C] for c in combos], [add[c // C] for c in combos]
-        for s in scale[1:]:
-            xlo, xhi = [s[x % C] for x in lasts], [s[x // C] for x in lasts]
-            cols += [[hi[h] * C + lo[l] for l, h in zip(xlo, xhi)]
-                     for lo, hi in zip(lows, highs)]
-    else:
-        plus = xor if ops.p == 2 else ops.add
-        for b in range(1, q):
-            mults = [ops.smul(b, x) for x in lasts]
-            cols += [[plus(c, m) for m in mults] for c in combos]
-    return cols + [lasts]
+    C, n, add, _ = ops.tables or (0, 0, None, None)
+    if add and n <= 2:
+        lo, hi = add[c % C], add[c // C]
+        return [hi[x // C] * C + lo[x % C] for x in firsts]
+    return [ops.add(x, c) for x in firsts]
 
 
-def _run_pair_keys(prefix: Sequence[int], lasts: Sequence[int], q: int,
+def _run_pair_keys(tail: Sequence[int], firsts: Sequence[int], q: int,
                    v: int) -> tuple[list[int], list[list[int]]]:
     """Packed keys a·q^v + b, (a, b) the canonical basis rows of a 2-subspace, of the
-    pairs inside the canonical blocks prefix + (x,), x in lasts: the keys inside the
-    prefix, and one key list over lasts per other pair.  A canonical coefficient basis
-    has pivots 1, so its combination with the rows is the canonical basis of its image."""
-    combos = list(prefix[:1])
-    for row in prefix[1:]:  # N(rows + (row,)) from N(rows), a run of one
-        combos += [col[0] for col in _columns(q, v, combos, (row,))]
-    cols = _columns(q, v, combos, lasts)
-    inside, left, right, both, _ = _pair_plan(len(prefix) + 1, q)
-    qv = q ** v
-    keys = [[h + y for y in cols[b]] for a, b in left for h in (combos[a] * qv,)]
-    keys += [[x * qv + c for x in cols[a]] for a, b in right for c in (combos[b],)]
-    keys += [[x * qv + y for x, y in zip(cols[a], cols[b])] for a, b in both]
-    return [combos[a] * qv + combos[b] for a, b in inside], keys
+    pairs inside the canonical blocks (x,) + tail, x in firsts: the keys inside the
+    tail, and one key list over firsts per pair through x.  x has the lowest pivot, so
+    such a pair is (x + c, b): b in N(tail), the combinations of the tail with lowest
+    nonzero coefficient 1, and c in span(tail) with coefficient 0 at b's leading row, as
+    x + c is 0 at b's pivot.  A canonical coefficient basis has pivots 1, so its
+    combination with the rows is the canonical basis of its image.  At p = 2 digits add
+    by XOR, so (x + c)·q^v + b = x·q^v XOR (c·q^v + b)."""
+    inside, through, _ = _pair_plan(len(tail) + 1, q)
+    span, qv = vector_ops(q, v).span(tail), q ** v
+    shared = [span[a] * qv + span[b] for a, b in inside]
+    if q % 2 == 0:
+        heads = [x * qv for x in firsts]
+        return shared, [[h ^ key for h in heads]
+                        for key in [span[c] * qv + span[b] for c, b in through]]
+    cols = {c: [y * qv for y in _shifted(q, v, firsts, span[c])] for c, _ in through}
+    return shared, [[h + span[b] for h in cols[c]] for c, b in through]
 
 
 def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int, int]]:
@@ -356,23 +349,23 @@ def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int
     rows, in iter_rref_bases order: _run_pair_keys of a run of one."""
     if len(rows) < 2:
         return
-    shared, keys = _run_pair_keys(rows[:-1], rows[-1:], q, v)
+    shared, keys = _run_pair_keys(rows[1:], rows[:1], q, v)
     flat = shared + [key for key, in keys]
     yield from map(divmod, map(flat.__getitem__, _pair_plan(len(rows), q)[-1]), repeat(q ** v))
 
 
 def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
-                 budget: int) -> tuple[list, list, int]:
-    """Packed pair keys, their counts and the block count of a shard of _block_runs; a
-    pool worker given the design itself, so any start method serves.  The key lists of
-    runs of multiplicity 1 stream into one Counter.update, the others add with weight."""
+                 budget: int) -> tuple[Counter, int]:
+    """The packed pair-key tally and the block count of a shard of _block_runs; a pool
+    worker given the design itself, so any start method serves.  The key lists of runs
+    of multiplicity 1 stream into one Counter.update, the others add with weight."""
     counts, n_blocks = Counter(), 0
 
     def singles() -> Iterator[list[list[int]]]:
         nonlocal n_blocks
-        for prefix, lasts, mult in _block_runs(design, budget, shard):
-            n_blocks += (weight := len(lasts) * mult)
-            shared, keys = _run_pair_keys(prefix, lasts, design.q, design.v)
+        for tail, firsts, mult in _block_runs(design, budget, shard):
+            n_blocks += (weight := len(firsts) * mult)
+            shared, keys = _run_pair_keys(tail, firsts, design.q, design.v)
             for key in shared:
                 counts[key] += weight
             if mult == 1:
@@ -382,39 +375,36 @@ def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
                     counts[key] += mult
 
     counts.update(chain.from_iterable(chain.from_iterable(singles())))
-    return list(counts), list(counts.values()), n_blocks
+    return counts, n_blocks
 
 
 def coverage_counter(design: DesignInstance, threads: int = 1,
                      budget: int = EXPANSION_BUDGET) -> tuple[Counter, int]:
-    """Pair-coverage counter, keyed by canonical basis rows, and block count by full
-    expansion.  threads > 1 runs one process per shard, at most os.cpu_count();
-    only the tallies come back, summed in shard order.  The budget is checked
-    here, before any process starts."""
+    """Pair-coverage counter and block count by full expansion.  A 2-subspace with
+    canonical basis rows (a, b) has the packed key a·q^v + b.  threads > 1 runs one
+    process per shard, at most os.cpu_count(); only the tallies come back, summed in
+    shard order.  The budget is checked here, before any process starts."""
     _check_sweep_budget(design, budget)
     workers = min(threads, os.cpu_count() or 1)
-    qv = design.q ** design.v
     if workers <= 1:
-        return _merge_tallies([_sweep_shard(design, (0, 1), budget)], qv)
+        return _sweep_shard(design, (0, 1), budget)
     shards = [(i, workers) for i in range(workers)]
     sweep = partial(_sweep_shard, design, budget=budget)
     try:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _merge_tallies(pool.map(sweep, shards), qv)
+            return _merge_tallies(pool.map(sweep, shards))
     except OSError:  # pragma: no cover - process pools unavailable
-        return _merge_tallies(map(sweep, shards), qv)
+        return _merge_tallies(map(sweep, shards))
 
 
-def _merge_tallies(parts: Iterable[tuple[list, list, int]], qv: int) -> tuple[Counter, int]:
-    """Sum the tallies of _sweep_shard into one counter keyed by (a, b) for each key a·qv + b."""
-    rows, n_blocks, row = Counter(), 0, {}  # one int object per row value, shared by its keys
-    for keys, values, n in parts:
-        for key, c in zip(keys, values):
-            a, b = divmod(key, qv)
-            rows[row.setdefault(a, a), row.setdefault(b, b)] += c
+def _merge_tallies(parts: Iterable[tuple[Counter, int]]) -> tuple[Counter, int]:
+    """Sum the packed-key tallies and block counts of _sweep_shard."""
+    total, n_blocks = Counter(), 0
+    for counts, n in parts:
+        total.update(counts)
         n_blocks += n
-    return rows, n_blocks
+    return total, n_blocks
 
 
 def group_pair_keys(groups: Sequence[Subspace]) -> set[tuple]:
@@ -581,7 +571,8 @@ def verify_design(design: DesignInstance, mode: str = "full",
         n_blocks = block_count(design)
     else:
         counts, n_blocks = coverage_counter(design, threads, budget)
-        counted = ((rows, counts[rows]) for rows in pairs)
+        qv = q ** v
+        counted = ((rows, counts[rows[0] * qv + rows[1]]) for rows in pairs)
     for rows, got in counted:
         tally.record(rows, got)
     return tally.report(mode, n_blocks, sample=drawn)
@@ -652,7 +643,8 @@ class _ImplicitCoverage:
             if not weight:  # the span-k orbit is empty for k > m
                 continue
             block = atlas.realize(lw.label)
-            for *_, keys in atlas.label_keys(runs_of(block_pair_keys(block.rows, q, v))):
+            pairs = block_pair_keys(block.rows, q, v)
+            for *_, keys in atlas.label_keys((rows[1:], rows[:1]) for rows in pairs):
                 for key in keys:
                     incident[key] += weight
         self.by_key = {
@@ -670,7 +662,7 @@ class _ImplicitCoverage:
         by_key, pairs = self.by_key, iter(pairs)
         # a fresh stream per batch bounds the stream's row cache
         while batch := list(islice(pairs, LABEL_BATCH)):
-            runs = self.atlas.label_keys((rows[:1], rows[1:]) for rows in batch)
+            runs = self.atlas.label_keys((rows[1:], rows[:1]) for rows in batch)
             keys = chain.from_iterable(map(itemgetter(2), runs))
             yield from zip(batch, map(by_key.get, keys, repeat(0)))
 
@@ -887,8 +879,9 @@ def _check_hole_restriction(q: int, n: int, k: int, hole: Subspace,
     restricted = DesignInstance(q=q, v=hole.v, kind="design", K=(k,), claimed_lambda=lam,
                                 blocks=ExplicitBlocks(tuple(inside)))
     counts, _ = coverage_counter(restricted)
-    for key in block_pair_keys(hole.rows, q, hole.v):
-        if counts[key] != lam:
+    qv = q ** hole.v
+    for a, b in block_pair_keys(hole.rows, q, hole.v):
+        if counts[a * qv + b] != lam:
             raise ValueError(
                 "master restricted to the hole is not a design with the "
                 f"expected coverage {lam}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .fields import (TABLE_CAP, add_digits, digit_add_table, digit_scale_table,
@@ -275,6 +274,8 @@ def _completions(v: int, d: int, q: int,
     lexicographic order, the completions of each row, coordinate j placed at
     positions[j]: the pivot entry 1, the free entries in little-endian
     field-element order."""
+    if not 0 <= d <= v:
+        raise ValueError("need 0 <= d <= v")
     qpow = [q ** j for j in positions]
     for pivots in itertools.combinations(range(v), d):
         pivot_set = set(pivots)
@@ -288,46 +289,39 @@ def _completions(v: int, d: int, q: int,
         yield per_row
 
 
+def _runs(per_rows: Iterable[list[list[int]]]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Runs (tail, first rows) of nonempty per-row completion lists: one run per
+    tail in the product of all lists but the first."""
+    for firsts, *rest in per_rows:
+        yield from zip(itertools.product(*rest), itertools.repeat(firsts))
+
+
 def iter_rref_runs(v: int, d: int, q: int, shard: tuple[int, int] = (0, 1)
-                   ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
-    """iter_rref_bases(v, d, q, shard) cut into runs (prefix, last rows): the
-    bases prefix + (x,) for x in last rows, one run per prefix of d - 1 rows.
-    One last-row list serves every run of a pivot-column set; none is empty."""
+                   ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The canonical d-subspace bases of GF(q)^v as runs (tail, first rows), the
+    bases (x,) + tail for x in first rows; none for d = 0.
+
+    The first row has the lowest pivot, so the most free entries: a run is a
+    pivot-column set with one completion of rows 2..d, runs come in
+    iter_rref_bases order of their tails, and one first-row list serves every
+    run of a pivot-column set.  Shard (i, n) keeps the runs j with j % n == i,
+    so the n shards partition the runs and (0, 1) is all of them.
+    """
     i, n = shard
-    if not 0 <= d <= v:
-        raise ValueError("need 0 <= d <= v")
     if not 0 <= i < n:
         raise ValueError(f"shard {shard} needs 0 <= i < n")
-    unit = 0  # number of the first unit of this pivot set
-    for first, *rest in _completions(v, d, q, range(v)) if d else ():
-        *front, lasts = first[(i - unit) % n::n], *rest
-        unit += len(first)
-        if lasts:
-            yield from zip(itertools.product(*front), itertools.repeat(lasts))
+    return itertools.islice(_runs(_completions(v, d, q, range(v)) if d else ()), i, None, n)
 
 
-def iter_rref_bases(v: int, d: int, q: int,
-                    shard: tuple[int, int] = (0, 1)) -> Iterator[tuple[int, ...]]:
+def iter_rref_bases(v: int, d: int, q: int) -> Iterator[tuple[int, ...]]:
     """All canonical d-subspace bases of GF(q)^v, packed rows.
 
     Deterministic order: pivot-column sets lexicographically, then free
-    entries per row in little-endian field-element order.  The stream is
-    cut into units, one per pivot-column set and completion of its first
-    row, numbered in that order; shard (i, n) yields the units j with
-    j % n == i, each in the order above, so the n shards partition the
-    stream and (0, 1) is all of it.
+    entries per row in little-endian field-element order, the first row
+    slowest.
     """
-    for prefix, lasts in iter_rref_runs(v, d, q, shard):
-        yield from map(prefix.__add__, zip(lasts))
-    if d == 0 == shard[0]:
-        yield ()
-
-
-def runs_of(bases: Iterable[Sequence[int]]) -> Iterator[tuple[Sequence[int], list[int]]]:
-    """A stream of nonempty bases as runs (prefix, last rows) of consecutive
-    bases that share all rows but the last."""
-    for prefix, run in itertools.groupby(bases, itemgetter(slice(-1))):
-        yield prefix, list(map(itemgetter(-1), run))
+    for per_row in _completions(v, d, q, range(v)):
+        yield from itertools.product(*per_row)
 
 
 def enumerate_subspaces(v: int, d: int, q: int) -> Iterator[Subspace]:
@@ -342,17 +336,23 @@ def complement_positions(U: Subspace) -> list[int]:
     return [j for j in range(U.v) if j not in pivots]
 
 
-def iter_superspace_runs(U: Subspace, k: int
-                         ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
-    """iter_superspace_bases(U, k) cut into runs (prefix, last rows), as
-    iter_rref_runs; none for k = 0."""
-    d = U.dim
-    if not d <= k <= U.v:
+def _quotient_completions(U: Subspace, k: int) -> Iterator[list[list[int]]]:
+    """_completions of the canonical (k - dim U)-subspaces of GF(q)^v / U, the
+    quotient coordinates placed on U's non-pivot positions."""
+    if not U.dim <= k <= U.v:
         raise ValueError("need dim(U) <= k <= v")
-    head = [(u,) for u in U.rows]
-    for per_row in _completions(U.v - d, k - d, U.q, complement_positions(U)) if k else ():
-        *front, lasts = *head, *per_row
-        yield from zip(itertools.product(*front), itertools.repeat(lasts))
+    return _completions(U.v - U.dim, k - U.dim, U.q, complement_positions(U))
+
+
+def iter_superspace_runs(U: Subspace, k: int
+                         ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """The bases of iter_superspace_bases(U, k) with their first quotient row
+    moved to the front, as runs (tail, first rows) as iter_rref_runs: the tail
+    is U's rows, then quotient rows 2..k - dim U.  At k = dim U the first row
+    is U's; none for k = 0."""
+    head = [[u] for u in U.rows]
+    per_rows = _quotient_completions(U, k)
+    return _runs(([*per_row[:1], *head, *per_row[1:]] for per_row in per_rows) if k else ())
 
 
 def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:
@@ -362,10 +362,8 @@ def iter_superspace_bases(U: Subspace, k: int) -> Iterator[tuple[int, ...]]:
     GF(q)^v / U, taken in iter_rref_bases order with the quotient
     coordinates placed on U's non-pivot positions.
     """
-    for prefix, lasts in iter_superspace_runs(U, k):
-        yield from map(prefix.__add__, zip(lasts))
-    if k == 0:
-        yield ()
+    for per_row in _quotient_completions(U, k):
+        yield from map(U.rows.__add__, itertools.product(*per_row))
 
 
 def superspaces(U: Subspace, k: int) -> Iterator[Subspace]:

@@ -15,7 +15,8 @@ Singer orbit catalogue by cycling every subspace.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 from random import Random
 from typing import Sequence
 
@@ -150,26 +151,27 @@ def scale_table_by_entry(q: int, w: int) -> list[list[int]]:
 
 # -- canonical bases in stream order -------------------------------------------------
 
-def rref_bases_in_order(v: int, d: int, q: int,
-                        shard: tuple[int, int] = (0, 1)) -> list[tuple[int, ...]]:
+def rref_bases_in_order(v: int, d: int, q: int) -> list[tuple[int, ...]]:
     """The canonical d-subspace bases of GF(q)^v in iter_rref_bases order, from
     its definition: pivot-column sets in lexicographic order; within one, each
     row's free entries as base-q digits counted up with the lowest free column
-    slowest, and the first row slowest of all.  Shard (i, n) keeps the units j
-    (a pivot set with one completion of its first row) with j % n == i."""
-    i, n = shard
-    out, unit = [], 0
+    slowest, and the first row slowest of all."""
+    out = []
     for pivots in combinations(range(v), d):
         per_row = []
         for p in pivots:
             free = [j for j in range(p + 1, v) if j not in pivots]
             per_row.append([q ** p + sum(c * q ** j for c, j in zip(digits, free))
                             for digits in product(range(q), repeat=len(free))])
-        for head in [(x,) for x in per_row[0]] if d else [()]:
-            if unit % n == i:
-                out += [head + rest for rest in product(*per_row[1:])]
-            unit += 1
+        out += list(product(*per_row))
     return out
+
+
+def runs_of(bases):
+    """A stream of nonempty bases as runs (tail, first rows) of consecutive
+    bases that share all rows but the first."""
+    for tail, run in groupby(bases, itemgetter(slice(1, None))):
+        yield tail, list(map(itemgetter(0), run))
 
 
 # -- containment ------------------------------------------------------------------

@@ -183,8 +183,8 @@ def test_criterion_09_supplementary():
         S = supplementary(D)
         cd, _ = coverage_counter(D)
         cs, _ = coverage_counter(S)
-        for rows in iter_rref_bases(4, 2, 2):
-            assert cd[rows] + cs[rows] == gaussian_binomial(2, 1, 2) == 3
+        for a, b in iter_rref_bases(4, 2, 2):  # packed keys a·2^4 + b
+            assert cd[a * 16 + b] + cs[a * 16 + b] == gaussian_binomial(2, 1, 2) == 3
 
 
 def test_criterion_10_hole_filling_properties():

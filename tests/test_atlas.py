@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from qgdd.atlas import OrbitLabel, SpanClass, gl_atlas, gl_order
 from qgdd.fields import FieldTower
 from qgdd.subspaces import (Subspace, gaussian_binomial, iter_rref_bases, iter_rref_runs,
-                            iter_superspace_bases, iter_superspace_runs, runs_of,
-                            vector_ops)
+                            iter_superspace_bases, iter_superspace_runs, vector_ops)
 
 from oracles import (apply_matrix, column_independence_criterion,
-                     label_keys_by_elimination, mixing_matrix, random_gl)
+                     label_keys_by_elimination, mixing_matrix, random_gl, runs_of)
 
 
 @pytest.fixture(scope="module")
@@ -258,9 +257,20 @@ def test_span_class_partition_m3():
 
 
 def run_keys(at, runs):
-    """(basis, key) for each basis prefix + (x,) of a run stream, from label_keys."""
-    return [((*prefix, x), key) for prefix, lasts, keys in at.label_keys(runs)
-            for x, key in zip(lasts, keys, strict=True)]
+    """(basis, key) for each basis (x,) + tail of a run stream, from label_keys."""
+    return [((x, *tail), key) for tail, firsts, keys in at.label_keys(runs)
+            for x, key in zip(firsts, keys, strict=True)]
+
+
+def keys_match_oracle(at, runs, stream, front=0):
+    """run_keys of runs, after checking that each basis of the runs has the oracle's
+    key and that the runs hold each basis of stream once, with its row at position
+    front moved to the front (0 for the canonical sweep, dim U for superspaces)."""
+    got = run_keys(at, runs)
+    bases = [b for b, _ in got]
+    assert sorted((*b[1:front + 1], b[0], *b[front + 1:]) for b in bases) == sorted(stream)
+    assert got == label_keys_by_elimination(at, bases)
+    return got
 
 
 def _superspace_streams(at, k):
@@ -270,8 +280,7 @@ def _superspace_streams(at, k):
 
 
 def test_label_keys_match_oracle_on_sweep(at23):
-    bases = list(iter_rref_bases(6, 3, 2))
-    assert run_keys(at23, iter_rref_runs(6, 3, 2)) == label_keys_by_elimination(at23, bases)
+    keys_match_oracle(at23, iter_rref_runs(6, 3, 2), list(iter_rref_bases(6, 3, 2)))
 
 
 @pytest.mark.parametrize("m,l,q", [(3, 3, 2), (2, 3, 3), (2, 3, 4), (2, 3, 9), (3, 3, 3)])
@@ -282,8 +291,7 @@ def test_label_keys_match_oracle_on_superspaces(m, l, q):
     at = gl_atlas(m, l, q)
     kinds = set()
     for bases, runs in _superspace_streams(at, 3):
-        got = run_keys(at, runs)
-        assert got == label_keys_by_elimination(at, bases)
+        got = keys_match_oracle(at, runs, bases, front=2)
         kinds.update(key[0] for _, key in got)
     assert {"line", "mixed"} <= kinds
     assert ("full" in kinds) == (m >= 3)
@@ -295,8 +303,7 @@ def test_label_keys_match_oracle_on_4_superspaces(q):
     at = gl_atlas(3, 2, q)
     kinds = set()
     for bases, runs in _superspace_streams(at, 4):
-        got = run_keys(at, runs)
-        assert got == label_keys_by_elimination(at, bases)
+        got = keys_match_oracle(at, runs, bases, front=2)
         kinds.update(key[0] for _, key in got)
     assert kinds == {"mixed", "other"}
 
@@ -352,11 +359,13 @@ def test_label_keys_prefix_sharing_reaches_every_class():
 
 
 def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
-    # a lost prefix reuse would reduce all 3 rows of each of the 127 bases
+    # the 4-superspaces of a (3,3,2) row: 120 runs, each tail U's two rows and a
+    # second quotient row; a lost reuse of U's rows would reduce them in each run
     at = gl_atlas(3, 3, 2)
-    bases = list(iter_superspace_bases(at.realize(at.orbit_labels(2)[-1]), 3))
-    assert len(bases) == 127
-    prefixes = {b[:i] for b in bases for i in range(1, len(b))}
+    U = at.realize(at.orbit_labels(2)[-1])
+    bases = list(iter_superspace_bases(U, 4))
+    runs = list(iter_superspace_runs(U, 4))
+    assert len(runs) == 120 and len(bases) == 2667
     calls, reductions = [], []
     unflatten, reduce = FieldTower.unflatten_packed, FieldTower.mid_reduce
 
@@ -371,39 +380,41 @@ def test_label_keys_reduces_only_past_the_shared_prefix(monkeypatch):
     monkeypatch.setattr(FieldTower, "unflatten_packed", counted)
     monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
     # the stream runs twice, so a lost row memo would unflatten every row again
-    stream = bases + bases
-    assert len(run_keys(at, runs_of(stream))) == 2 * len(bases)
-    assert len(reductions) <= 2 * len(bases) + len(prefixes) + 2
-    # every basis shares U's rows, whose rank is 2, so no basis has rank 1:
-    # the prefix rows and the first last row are unflattened, then only the
-    # differences of consecutive last rows (XOR at q = 2), each value once
-    last_rows = [b[-1] for b in stream]
-    diffs = {x ^ y for x, y in zip(last_rows, last_rows[1:])}
-    assert sorted(calls) == sorted(set(bases[0]) | diffs)
-    assert len(calls) < len(set(last_rows))
+    got = run_keys(at, runs + runs)
+    monkeypatch.undo()
+    assert got == keys_match_oracle(at, runs, bases, front=2) * 2
+    # U's two rows once, then per run at most its last tail row, its first row
+    # and each new difference of consecutive first rows; reducing U's rows in
+    # each run would add 480
+    steps = sum(len({x ^ y for x, y in zip(f, f[1:])}) for _, f in runs)
+    assert len(reductions) <= 2 + 2 * (2 * len(runs) + steps) == 1484
+    # every row value is unflattened once: tail rows, the first first row of
+    # each list and the differences of consecutive first rows (XOR at q = 2)
+    tails = {row for tail, _ in runs for row in tail}
+    diffs = {x ^ y for _, f in runs for x, y in zip(f, f[1:])}
+    assert sorted(calls) == sorted(tails | {f[0] for _, f in runs} | diffs)
 
 
-@pytest.mark.parametrize("m,l,q,k", [(2, 4, 2, 3), (2, 3, 3, 3)])
+@pytest.mark.parametrize("m,l,q,k", [(2, 4, 2, 3), (2, 3, 3, 3), (3, 2, 3, 3)])
 def test_label_keys_match_oracle_on_full_sweeps(m, l, q, k):
-    # the (8,3)_2 and (6,3)_3 sweeps of full-gf2 and odd-q3, whole and in shards
+    # the (8,3)_2 and (6,3)_3 sweeps of full-gf2 and odd-q3, and an m = 3 sweep
+    # over GF(9), whole and in shards
     at, v = gl_atlas(m, l, q), m * l
-    want = label_keys_by_elimination(at, iter_rref_bases(v, k, q))
-    assert run_keys(at, iter_rref_runs(v, k, q)) == want
-    key_of = dict(want)
+    stream = list(iter_rref_bases(v, k, q))
+    key_of = dict(keys_match_oracle(at, iter_rref_runs(v, k, q), stream))
     for n in (2, 3):
-        for i in range(n):
-            bases = list(iter_rref_bases(v, k, q, shard=(i, n)))
-            assert run_keys(at, iter_rref_runs(v, k, q, (i, n))) == [(b, key_of[b]) for b in bases]
+        got = [pair for i in range(n) for pair in run_keys(at, iter_rref_runs(v, k, q, (i, n)))]
+        assert sorted(b for b, _ in got) == sorted(stream)
+        assert all(key == key_of[b] for b, key in got)
 
 
 @pytest.mark.parametrize("row", [0, 1, 2, -1], ids=["row0", "row1", "row2", "span2"])
 def test_label_keys_match_oracle_on_k4_rows(row):
     # the 4-superspaces of each span-1 row and of the span-2 row of (3,4,4,2),
-    # 174251 each in 4097 runs: the stream of incidence-k4 and of criterion 3
+    # 174251 each in 1013 runs: the stream of incidence-k4 and of criterion 3
     at = gl_atlas(3, 4, 2)
     U = at.realize(at.orbit_labels(2)[row])
-    bases = list(iter_superspace_bases(U, 4))
-    assert run_keys(at, iter_superspace_runs(U, 4)) == label_keys_by_elimination(at, bases)
+    keys_match_oracle(at, iter_superspace_runs(U, 4), list(iter_superspace_bases(U, 4)), front=2)
 
 
 def test_label_keys_match_oracle_on_mixed_lengths():
@@ -448,15 +459,16 @@ def test_label_keys_dependency_fixes_the_length(q):
     assert {key[:2] for _, key in got} == {("mixed", 3), ("mixed", 4)}
 
 
-def test_label_keys_reduces_last_rows_by_linearity(monkeypatch):
-    # one reduction per prefix row, per run of bases sharing a prefix and per
-    # new last-row difference in the run: 1346 on the 2667 4-superspaces of a
-    # (3,3,2) row; one reduction per basis, as without the linear step, is 2990
+def test_label_keys_reduces_first_rows_by_linearity(monkeypatch):
+    # U's two rows once, then per run at most its last tail row, its first row
+    # and each new first-row difference in the run: 2 + 120 + 120 + 501 on the
+    # 2667 4-superspaces of a (3,3,2) row; one reduction per basis, as without
+    # the linear step, is 2 + 120 + 2667
     at = gl_atlas(3, 3, 2)
     U = at.realize(at.orbit_labels(2)[0])
     bases = list(iter_superspace_bases(U, 4))
+    runs = list(iter_superspace_runs(U, 4))
     assert len(bases) == 2667
-    want = label_keys_by_elimination(at, bases)
     reductions = []
     reduce = FieldTower.mid_reduce
 
@@ -465,8 +477,11 @@ def test_label_keys_reduces_last_rows_by_linearity(monkeypatch):
         return reduce(self, *args)
 
     monkeypatch.setattr(FieldTower, "mid_reduce", counted_reduce)
-    assert run_keys(at, iter_superspace_runs(U, 4)) == want
-    assert len(reductions) <= 1400
+    got = run_keys(at, runs)
+    monkeypatch.undo()
+    assert got == keys_match_oracle(at, runs, bases, front=2)
+    steps = sum(len({x ^ y for x, y in zip(f, f[1:])}) for _, f in runs)
+    assert len(reductions) <= 2 + 2 * len(runs) + steps == 743
 
 
 SWEEP_LIMIT = 100_000  # sweep a dimension only when it has at most this many subspaces

@@ -400,8 +400,8 @@ def test_supplementary_random_submultiset():
     S = supplementary(D)
     cd, _ = coverage_counter(D)
     cs, _ = coverage_counter(S)
-    for rows in iter_rref_bases(4, 2, 2):
-        assert cd[rows] + cs[rows] == 3
+    for a, b in iter_rref_bases(4, 2, 2):  # packed keys a·2^4 + b
+        assert cd[a * 16 + b] + cs[a * 16 + b] == 3
 
 
 def test_supplementary_of_mixed_input(gdd633):
@@ -1011,11 +1011,12 @@ def test_block_pair_keys_brute_force(q):
 # -- pair keys from normalized combinations, against the span table ----------------
 
 def _span_oracle_tally(items, q, v):
-    """The pair tally of (rows, multiplicity) items, each block keyed from its span table."""
+    """The pair tally of (rows, multiplicity) items, each block keyed from its span
+    table, by packed keys a·q^v + b."""
     counts = Counter()
     for rows, mult in items:
-        for key in span_pair_keys(rows, q, v):
-            counts[key] += mult
+        for a, b in span_pair_keys(rows, q, v):
+            counts[a * q ** v + b] += mult
     return counts
 
 
@@ -1029,7 +1030,7 @@ def _explicit_in_order(q, v, items):
                                    (5, 4, 2), (5, 4, 3), (9, 3, 2), (7, 4, 3), (7, 3, 2),
                                    (2, 5, 1), (3, 4, 1)])
 def test_pair_tally_matches_span_oracle_on_subspace_streams(q, v, k):
-    # the sweep order: runs of blocks that share all rows but the last
+    # the sweep order: blocks that share all rows but the first seldom follow each other
     items = [(rows, 1) for rows in iter_rref_bases(v, k, q)]
     counts, n_blocks = coverage_counter(_explicit_in_order(q, v, items))
     assert n_blocks == len(items)
@@ -1058,7 +1059,7 @@ def test_pair_keys_past_the_table_cap():
             a, b = bases[i]
             assert keys[i] == (combine(a, rows, ops), combine(b, rows, ops))
         items.append((rows, mult))
-        want.update({key: mult for key in keys})
+        want.update({a * q ** v + b: mult for a, b in keys})
     assert coverage_counter(_explicit_in_order(q, v, items)) == (want, 3)
 
 
@@ -1082,8 +1083,7 @@ def test_pair_tally_matches_span_oracle_by_shard(shard_design, n):
     total = Counter()
     for i in range(n):
         items = list(expand_blocks(shard_design, shard=(i, n)))
-        tally = designs._merge_tallies([designs._sweep_shard(shard_design, (i, n), 10 ** 6)],
-                                       q ** v)
+        tally = designs._sweep_shard(shard_design, (i, n), 10 ** 6)
         assert tally == (_span_oracle_tally(items, q, v), sum(m for _, m in items))
         total += tally[0]
     assert coverage_counter(shard_design) == (total, block_count(shard_design))
@@ -1126,38 +1126,40 @@ def _packed_span_keys(rows, q, v):
     return sorted(a * q ** v + b for a, b in span_pair_keys(rows, q, v))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_run_pair_keys_match_span_oracle(q, k):
     # sampled runs of the k-subspace sweep, cut to runs of several blocks and of
-    # one: the prefix keys are those of the prefix, and with column j they are
+    # one: the shared keys are those of the tail, and with key list j they are
     # the keys of block j (a packed key is a·q^v + b, a the first basis row)
     v = k + 2 if q ** (k + 2) <= 5000 else k + 1
     rng = Random(10 * q + k)
     runs = list(iter_rref_runs(v, k, q))
-    for prefix, lasts in rng.sample(runs, min(len(runs), 5)):
-        for part in (list(lasts[:4]), [lasts[-1]], list(lasts[1::3][:3])):
-            shared, keys = designs._run_pair_keys(prefix, part, q, v)
-            assert sorted(shared) == _packed_span_keys(prefix, q, v)
+    for tail, firsts in rng.sample(runs, min(len(runs), 5)):
+        for part in (list(firsts[:4]), [firsts[-1]], list(firsts[1::3][:3])):
+            shared, keys = designs._run_pair_keys(tail, part, q, v)
+            assert sorted(shared) == _packed_span_keys(tail, q, v)
             assert all(len(col) == len(part) for col in keys)
             for j, x in enumerate(part):
                 got = sorted(shared + [col[j] for col in keys])
-                assert got == _packed_span_keys(prefix + (x,), q, v), (prefix, x)
+                assert got == _packed_span_keys((x,) + tail, q, v), (tail, x)
 
 
 @pytest.mark.parametrize("q,v", [(2, 6), (3, 5), (4, 4), (9, 3)])
 def test_pair_tally_of_runs_matches_per_block_tally(q, v):
-    # sorted explicit items run while the prefix and the multiplicity repeat
-    # (multiplicities 1-4); shuffled, they are mostly runs of one
+    # explicit items run by tail and multiplicity (multiplicities 1-4), sorted
+    # or shuffled
     rng = Random(q * v)
     items = [(rows, rng.choice((1, 1, 2, 3, 4))) for k in (2, 3, 4) if k <= v
              for rows in iter_rref_bases(v, k, q) if rng.random() < 0.5]
     want = (_span_oracle_tally(items, q, v), sum(m for _, m in items))
     runs = list(designs._block_runs(_explicit_in_order(q, v, items), 10 ** 6, (0, 1)))
-    assert max(len(lasts) for _, lasts, _ in runs) > 1
+    assert max(len(firsts) for _, firsts, _ in runs) > 1
     assert {m for *_, m in runs} == {1, 2, 3, 4}
     assert coverage_counter(_explicit_in_order(q, v, items)) == want
     rng.shuffle(items)
+    runs = list(designs._block_runs(_explicit_in_order(q, v, items), 10 ** 6, (0, 1)))
+    assert max(len(firsts) for _, firsts, _ in runs) > 1
     assert coverage_counter(_explicit_in_order(q, v, items)) == want
 
 
@@ -1173,11 +1175,12 @@ def test_sweep_runs_with_omega_and_weights_match_per_block_tally(monkeypatch, n)
         LabelWeight(lw.label, 2) for lw in g.blocks.labels)))
     for i in range(n):
         runs = list(islice(designs._block_runs(design, 10 ** 6, (i, n)), 200))
-        items = [(prefix + (x,), m) for prefix, lasts, m in runs for x in lasts]
+        items = [((x, *tail), m) for tail, firsts, m in runs for x in firsts]
         assert items == list(islice(expand_blocks(design, shard=(i, n)), len(items)))
+        assert all(rows == vector_ops(2, 9).rref(rows) for rows, _ in items)
         assert {m for *_, m in runs} == {1, 2}
         monkeypatch.setattr(designs, "_block_runs", lambda *args, runs=runs: iter(runs))
-        tally = designs._merge_tallies([designs._sweep_shard(design, (i, n), 10 ** 6)], 2 ** 9)
+        tally = designs._sweep_shard(design, (i, n), 10 ** 6)
         monkeypatch.undo()
         assert tally == (_span_oracle_tally(items, 2, 9), sum(m for _, m in items))
 
@@ -1242,9 +1245,9 @@ def test_sampled_explicit_expands_each_block_once(gdd633, monkeypatch, sample):
     calls = []
     real = designs._run_pair_keys
 
-    def counted(prefix, lasts, q, v):
-        calls.extend(prefix + (x,) for x in lasts)
-        return real(prefix, lasts, q, v)
+    def counted(tail, firsts, q, v):
+        calls.extend((x, *tail) for x in firsts)
+        return real(tail, firsts, q, v)
 
     monkeypatch.setattr(designs, "_run_pair_keys", counted)
     report = verify_design(design, mode="sampled", sample=sample, seed=1)

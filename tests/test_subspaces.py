@@ -14,11 +14,11 @@ from qgdd.fields import TABLE_CAP, build_tower, digit_scale_table, field_for_ord
 from qgdd.subspaces import (Subspace, canonicalize, complement_positions,
                             enumerate_subspaces, gaussian_binomial,
                             intersection_dim, iter_rref_bases, iter_rref_runs,
-                            iter_superspace_bases, iter_superspace_runs, runs_of,
+                            iter_superspace_bases, iter_superspace_runs,
                             superspaces, vector_ops)
 
 from oracles import (contains_vector, coordinate_add_scaled, coordinate_rref,
-                     coordinate_span, lift_row, rref_bases_in_order,
+                     coordinate_span, lift_row, rref_bases_in_order, runs_of,
                      scale_table_by_entry)
 
 
@@ -129,64 +129,65 @@ def test_enumerate_total(q, v, d):
     assert sum(1 for _ in iter_rref_bases(v, d, q)) == gaussian_binomial(v, d, q)
 
 
+# -- run streams ------------------------------------------------------------------
+
+def _flat(runs):
+    return [(x, *tail) for tail, firsts in runs for x in firsts]
+
+
 @pytest.mark.parametrize("q,v,d", [(2, 6, 3), (3, 4, 2), (2, 5, 1), (4, 4, 2),
                                    (2, 4, 4), (2, 3, 0)])
 def test_rref_shards_partition_the_stream(q, v, d):
     stream = list(iter_rref_bases(v, d, q))
-    assert list(iter_rref_bases(v, d, q, (0, 1))) == stream
+    runs = list(iter_rref_runs(v, d, q))
+    assert list(iter_rref_runs(v, d, q, (0, 1))) == runs
+    assert sorted(_flat(runs)) == (sorted(stream) if d else [])
     for n in range(1, 6):
-        shards = [list(iter_rref_bases(v, d, q, (i, n))) for i in range(n)]
-        assert sorted(sum(shards, [])) == sorted(stream)
-        # each shard keeps the order of the whole stream
-        at = {rows: j for j, rows in enumerate(stream)}
-        assert all([at[rows] for rows in shard] == sorted(at[rows] for rows in shard)
-                   for shard in shards)
+        # the shards deal out the runs in turn, each keeping their order
+        assert [list(iter_rref_runs(v, d, q, (i, n))) for i in range(n)] == \
+            [runs[i::n] for i in range(n)]
 
 
-def test_rref_shards_deal_out_first_row_completions():
-    # one unit per pivot set and first-row completion, dealt round-robin
-    units = []
-    for rows in iter_rref_bases(5, 2, 2):
-        if not units or units[-1][0] != rows[0]:
-            units.append((rows[0], []))
-        units[-1][1].append(rows)
-    assert len(units) > 3
+def test_rref_shards_deal_out_runs():
+    # one run per pivot set and completion of rows 2..d, dealt round-robin
+    ops = vector_ops(2, 5)
+    units = {}
+    for rows in iter_rref_bases(5, 3, 2):
+        units.setdefault((ops.pivot(rows[0]), rows[1:]), []).append(rows[0])
+    assert len(units) > 3 and max(map(len, units.values())) > 1
     for i in range(3):
-        want = [rows for j, (_, members) in enumerate(units) if j % 3 == i
-                for rows in members]
-        assert list(iter_rref_bases(5, 2, 2, (i, 3))) == want
+        want = [(tail, firsts) for j, ((_, tail), firsts) in enumerate(units.items())
+                if j % 3 == i]
+        assert [(tail, list(firsts)) for tail, firsts in iter_rref_runs(5, 3, 2, (i, 3))] == want
 
 
 @pytest.mark.parametrize("shard", [(1, 1), (-1, 2), (0, 0)])
 def test_rref_shard_out_of_range(shard):
     with pytest.raises(ValueError):
-        list(iter_rref_bases(4, 2, 2, shard))
-
-
-# -- run streams ------------------------------------------------------------------
-
-def _flat(runs):
-    return [(*prefix, x) for prefix, lasts in runs for x in lasts]
+        list(iter_rref_runs(4, 2, 2, shard))
 
 
 @pytest.mark.parametrize("q,v", [(2, 5), (3, 4), (4, 3)])
 def test_rref_runs_flatten_to_the_stream_in_every_shard(q, v):
-    # d = 1 included: there the shard slices the last-row list itself
+    # d = 1 included: there a run is a whole pivot set, its tail empty
     for d in range(v + 1):
+        want = rref_bases_in_order(v, d, q)
+        assert list(iter_rref_bases(v, d, q)) == want
         for n in (1, 2, 3):
+            flat = []
             for i in range(n):
-                want = rref_bases_in_order(v, d, q, (i, n))
-                assert list(iter_rref_bases(v, d, q, (i, n))) == want
                 runs = list(iter_rref_runs(v, d, q, (i, n)))
-                assert _flat(runs) == (want if d else [])
-                assert all(lasts and len(prefix) == d - 1 for prefix, lasts in runs)
-        # every run of a pivot-column set shares one last-row list
+                assert all(firsts and len(tail) == d - 1 for tail, firsts in runs)
+                flat += _flat(runs)
+            # each canonical basis exactly once over the shards
+            assert sorted(flat) == (sorted(want) if d else [])
+        # every run of a pivot-column set shares one first-row list
         runs = list(iter_rref_runs(v, d, q))
-        assert len({id(lasts) for _, lasts in runs}) == (math.comb(v, d) if d else 0)
+        assert len({id(firsts) for _, firsts in runs}) == (math.comb(v, d) if d else 0)
 
 
-def test_runs_of_groups_consecutive_prefixes():
-    bases = [(1, 2), (1, 4), (3, 4), (1, 8), (5,), (6,), (1, 2, 4)]
+def test_runs_of_groups_consecutive_tails():
+    bases = [(2, 1), (4, 1), (4, 3), (8, 1), (5,), (6,), (4, 1, 2)]
     assert list(runs_of(bases)) == [((1,), [2, 4]), ((3,), [4]), ((1,), [8]),
                                     ((), [5, 6]), ((1, 2), [4])]
     assert _flat(runs_of(bases)) == bases
@@ -195,15 +196,26 @@ def test_runs_of_groups_consecutive_prefixes():
 @pytest.mark.parametrize("m,l,k,q", [(3, 4, 4, 2), (3, 3, 3, 3), (2, 3, 3, 9)])
 def test_superspace_runs_flatten_to_the_lifted_stream(m, l, k, q):
     # every row orbit's realized 2-subspace: its rows, then each canonical
-    # quotient basis lifted onto its non-pivot positions, in order
+    # quotient basis lifted onto its non-pivot positions, in order; the runs
+    # hold each of these bases once, its first quotient row moved to the front
     at = gl_atlas(m, l, q)
     quotient = rref_bases_in_order(at.v - 2, k - 2, q)
     for U in map(at.realize, at.orbit_labels(2)):
         lifted = [lift_row(r, complement_positions(U), q) for r in range(q ** (at.v - 2))]
         want = [U.rows + tuple(map(lifted.__getitem__, rows)) for rows in quotient]
+        assert list(iter_superspace_bases(U, k)) == want
         runs = list(iter_superspace_runs(U, k))
-        assert all(prefix[:2] == U.rows for prefix, _ in runs)
-        assert _flat(runs) == want == list(iter_superspace_bases(U, k))
+        assert all(tail[:2] == U.rows for tail, _ in runs)
+        flat = [(*tail[:2], x, *tail[2:]) for x, *tail in _flat(runs)]
+        assert sorted(flat) == sorted(want)
+
+
+def test_superspace_runs_of_u_itself():
+    U = canonicalize([(1, 0, 1, 0), (0, 1, 1, 0)], 2)
+    assert list(iter_superspace_runs(U, 2)) == [(U.rows[1:], [U.rows[0]])]
+    assert list(iter_superspace_bases(U, 2)) == [U.rows]
+    assert list(iter_superspace_runs(Subspace.zero(2, 4), 0)) == []
+    assert list(iter_superspace_bases(Subspace.zero(2, 4), 0)) == [()]
 
 
 def test_superspaces_count_and_filter():
