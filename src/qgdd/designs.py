@@ -121,24 +121,25 @@ def _block_runs(design: DesignInstance, budget: int, shard: tuple[int, int]
     x in first rows: the tail is all rows but the first, which has the lowest pivot.
 
     Mixed labels are found by one labeled sweep, a run per run of iter_rref_runs and
-    multiplicity; span-1 labels expand along the spread.  Explicit items and line blocks
-    are grouped by tail and multiplicity (_item_runs).  Shard (i, n) is one of n disjoint
-    parts of the stream: the runs i, i + n, ... of each source, the sweep's being the
-    iter_rref_runs shard."""
+    multiplicity; span-1 labels expand along the spread.  Explicit items and the line
+    blocks of each spread line are grouped by tail and multiplicity (_item_runs): two
+    spread lines meet in 0, so their blocks share no tail.  Shard (i, n) is one of n
+    disjoint parts of the stream: the explicit items i, i + n, ..., the line blocks on
+    spread lines i, i + n, ..., and the sweep's iter_rref_runs shard."""
     i, n = shard
     blocks = design.blocks
     if isinstance(blocks, ExplicitBlocks):
-        yield from islice(_item_runs(blocks.items), i, None, n)
+        yield from _item_runs(blocks.items[i::n])
         return
     _check_sweep_budget(design, budget)
     q, v = design.q, design.v
     atlas = gl_atlas(blocks.m, blocks.l, q)
     ops = vector_ops(q, v)
-    gens = _spread_generators(atlas)
-    lines = ((ops.rref(atlas.line_rows(member, gen)), lw.multiplicity)
-             for lw in blocks.line_labels for member in atlas.singer.cycle(lw.label.rep_rows)
-             for gen in gens)
-    yield from islice(_item_runs(lines), i, None, n)
+    cycles = [(lw.multiplicity, list(atlas.singer.cycle(lw.label.rep_rows)))
+              for lw in blocks.line_labels]
+    for gen in _spread_generators(atlas)[i::n]:
+        yield from _item_runs((ops.rref(atlas.line_rows(member, gen)), mult)
+                              for mult, members in cycles for member in members)
     # the mixed labels and the span-k orbit, found by one labeled sweep
     picks = _swept_labels(blocks)
     if not picks:
@@ -299,17 +300,34 @@ def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
 # pair keys and coverage sweeps
 
 @lru_cache(maxsize=None)
-def _pair_plan(d: int, q: int) -> tuple[list, list, list[int]]:
+def _pair_plan(d: int, q: int) -> tuple[list, list, list[int], list[int]]:
     """The 2-subspaces of blocks (x,) + tail of d rows, from the canonical bases (A, B) of
     the 2-subspaces of the coefficient space GF(q)^d, coordinate 0 for x: the pairs inside
     the tail, (A, B) // q, and the pairs through x, (c, B // q) for A = 1 + q·c, each an
-    index pair into span(tail) in iter_rref_bases order; then rank, pair i of that order
-    being rank[i] of the two chained."""
+    index pair into span(tail) in iter_rref_bases order; the indices they read, sorted;
+    then rank, pair i of that order being rank[i] of the two chained."""
     pairs = list(iter_rref_bases(d, 2, q)) if d > 1 else []
     inside = [(a // q, b // q) for a, b in pairs if a % q == 0]
     through = [(a // q, b // q) for a, b in pairs if a % q]
+    read = sorted(set(chain.from_iterable(inside + through)))
     order = sorted(range(len(pairs)), key=lambda j: pairs[j][0] % q)  # inside first
-    return inside, through, sorted(range(len(order)), key=order.__getitem__)
+    return inside, through, read, sorted(range(len(order)), key=order.__getitem__)
+
+
+def _span_at(q: int, v: int, rows: Sequence[int], read: Sequence[int]) -> dict[int, int]:
+    """{c: span(rows)[c] for c in read}: past TABLE_CAP, where a whole span table costs a
+    digit-by-digit add per entry, only the read combinations are formed (a run of k = 3
+    at q = 343 reads 1027 of 117649)."""
+    ops, out = vector_ops(q, v), {}
+    for c in read:
+        combo, digits = 0, c
+        for row in rows:
+            digits, s = divmod(digits, q)
+            if s:
+                term = ops.smul(s, row)
+                combo = ops.add(combo, term) if combo else term
+        out[c] = combo
+    return out
 
 
 def _shifted(q: int, v: int, firsts: Sequence[int], c: int) -> list[int]:
@@ -333,8 +351,9 @@ def _run_pair_keys(tail: Sequence[int], firsts: Sequence[int], q: int,
     x + c is 0 at b's pivot.  A canonical coefficient basis has pivots 1, so its
     combination with the rows is the canonical basis of its image.  At p = 2 digits add
     by XOR, so (x + c)·q^v + b = x·q^v XOR (c·q^v + b)."""
-    inside, through, _ = _pair_plan(len(tail) + 1, q)
-    span, qv = vector_ops(q, v).span(tail), q ** v
+    inside, through, read, _ = _pair_plan(len(tail) + 1, q)
+    ops, qv = vector_ops(q, v), q ** v
+    span = ops.span(tail) if q == 2 or ops.tables else _span_at(q, v, tail, read)
     shared = [span[a] * qv + span[b] for a, b in inside]
     if q % 2 == 0:
         heads = [x * qv for x in firsts]
