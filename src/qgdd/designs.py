@@ -17,7 +17,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from random import Random
@@ -318,16 +318,9 @@ def _span_at(q: int, v: int, rows: Sequence[int], read: Sequence[int]) -> dict[i
     """{c: span(rows)[c] for c in read}: past TABLE_CAP, where a whole span table costs a
     digit-by-digit add per entry, only the read combinations are formed (a run of k = 3
     at q = 343 reads 1027 of 117649)."""
-    ops, out = vector_ops(q, v), {}
-    for c in read:
-        combo, digits = 0, c
-        for row in rows:
-            digits, s = divmod(digits, q)
-            if s:
-                term = ops.smul(s, row)
-                combo = ops.add(combo, term) if combo else term
-        out[c] = combo
-    return out
+    ops = vector_ops(q, v)
+    return {c: reduce(ops.add, [ops.smul(c // q ** j % q, row) for j, row in enumerate(rows)])
+            for c in read}
 
 
 def _shifted(q: int, v: int, firsts: Sequence[int], c: int) -> list[int]:
