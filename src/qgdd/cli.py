@@ -16,9 +16,9 @@ from pathlib import Path
 from .atlas import check_block_dim, gl_atlas, gl_order
 from .incidence import brute_force_matrix, closed_form_matrix
 from .designfile import design_from_json_dict, design_to_json_dict
-from .designs import (DesignInstance, GddSelection, block_count, build_gdd,
-                      build_pbd, fill_holes, supplementary, verify_design,
-                      verify_gdd)
+from .designs import (DesignInstance, GddSelection, block_count, break_blocks,
+                      build_gdd, build_pbd, fill_holes, supplementary,
+                      verify_design, verify_gdd)
 from .singer import (divisors, h_incidence_matrix, kramer_mesner_solve,
                      n_orbits_with_stabilizer, singer_action)
 from .subspaces import Subspace, gaussian_binomial
@@ -263,8 +263,7 @@ def cmd_break_blocks(args) -> int:
         for part in chunk.split(","):
             u_str, path = part.split("=", 1)
             ingredients[int(u_str)] = _read_design(path)
-    from .designs import break_blocks as _break
-    out = _break(pbd, ingredients)
+    out = break_blocks(pbd, ingredients)
     _write_design(out, args.out)
     print(f"wrote {args.out}: 2-({out.v},{out.K[0]},{out.claimed_lambda})_{out.q} "
           f"design with {block_count(out)} blocks")

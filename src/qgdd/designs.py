@@ -106,16 +106,15 @@ def is_simple(design: DesignInstance) -> bool:
     return all(w == 1 for w in _orbit_weights(blocks).values())
 
 
-def expand_blocks(design: DesignInstance, budget: int = EXPANSION_BUDGET,
-                  shard: tuple[int, int] = (0, 1),
-                  ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Stream (canonical rows, multiplicity) for every block: the flattening of _block_runs."""
-    for tail, firsts, mult in _block_runs(design, budget, shard):
+def expand_blocks(design: DesignInstance) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Stream (canonical rows, multiplicity) for every block: the flattening of the whole
+    _block_runs stream, which raises first past EXPANSION_BUDGET (_check_sweep_budget)."""
+    for tail, firsts, mult in _block_runs(design, (0, 1)):
         for x in firsts:
             yield (x, *tail), mult
 
 
-def _block_runs(design: DesignInstance, budget: int, shard: tuple[int, int]
+def _block_runs(design: DesignInstance, shard: tuple[int, int]
                 ) -> Iterator[tuple[tuple[int, ...], Sequence[int], int]]:
     """The blocks as runs (tail, first rows, multiplicity) of canonical blocks (x,) + tail,
     x in first rows: the tail is all rows but the first, which has the lowest pivot.
@@ -131,7 +130,7 @@ def _block_runs(design: DesignInstance, budget: int, shard: tuple[int, int]
     if isinstance(blocks, ExplicitBlocks):
         yield from _item_runs(blocks.items[i::n])
         return
-    _check_sweep_budget(design, budget)
+    _check_sweep_budget(design)
     q, v = design.q, design.v
     atlas = gl_atlas(blocks.m, blocks.l, q)
     ops = vector_ops(q, v)
@@ -168,14 +167,15 @@ def _swept_labels(blocks: ImplicitBlocks) -> dict[int, set]:
     return {w: {key for key in weights if weights[key] == w} for w in set(weights.values())}
 
 
-def _check_sweep_budget(design: DesignInstance, budget: int) -> None:
-    """Raise if expanding the design would sweep more than budget k-subspaces."""
+def _check_sweep_budget(design: DesignInstance) -> None:
+    """Raise if expanding the design would sweep more than EXPANSION_BUDGET k-subspaces,
+    the module constant as it reads at call time."""
     blocks = design.blocks
     if isinstance(blocks, ImplicitBlocks) and _swept_labels(blocks):
         total = gaussian_binomial(design.v, blocks.k, design.q)
-        if total > budget:
+        if total > EXPANSION_BUDGET:
             raise ValueError(
-                f"expansion needs a sweep over {total} subspaces (budget {budget}); "
+                f"expansion needs a sweep over {total} subspaces (budget {EXPANSION_BUDGET}); "
                 "use sampled verification")
 
 
@@ -366,8 +366,7 @@ def block_pair_keys(rows: tuple[int, ...], q: int, v: int) -> Iterator[tuple[int
     yield from map(divmod, map(flat.__getitem__, _pair_plan(len(rows), q)[-1]), repeat(q ** v))
 
 
-def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
-                 budget: int) -> tuple[Counter, int]:
+def _sweep_shard(design: DesignInstance, shard: tuple[int, int]) -> tuple[Counter, int]:
     """The packed pair-key tally and the block count of a shard of _block_runs; a pool
     worker given the design itself, so any start method serves.  The key lists of runs
     of multiplicity 1 stream into one Counter.update, the others add with weight."""
@@ -375,7 +374,7 @@ def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
 
     def singles() -> Iterator[list[list[int]]]:
         nonlocal n_blocks
-        for tail, firsts, mult in _block_runs(design, budget, shard):
+        for tail, firsts, mult in _block_runs(design, shard):
             n_blocks += (weight := len(firsts) * mult)
             shared, keys = _run_pair_keys(tail, firsts, design.q, design.v)
             for key in shared:
@@ -390,18 +389,17 @@ def _sweep_shard(design: DesignInstance, shard: tuple[int, int],
     return counts, n_blocks
 
 
-def coverage_counter(design: DesignInstance, threads: int = 1,
-                     budget: int = EXPANSION_BUDGET) -> tuple[Counter, int]:
+def coverage_counter(design: DesignInstance, threads: int = 1) -> tuple[Counter, int]:
     """Pair-coverage counter and block count by full expansion.  A 2-subspace with
     canonical basis rows (a, b) has the packed key a·q^v + b.  threads > 1 runs one
     process per shard, at most os.cpu_count(); only the tallies come back, summed in
-    shard order.  The budget is checked here, before any process starts."""
-    _check_sweep_budget(design, budget)
+    shard order.  EXPANSION_BUDGET is checked here, before any process starts."""
+    _check_sweep_budget(design)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1:
-        return _sweep_shard(design, (0, 1), budget)
+        return _sweep_shard(design, (0, 1))
     shards = [(i, workers) for i in range(workers)]
-    sweep = partial(_sweep_shard, design, budget=budget)
+    sweep = partial(_sweep_shard, design)
     try:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -547,8 +545,7 @@ class _ClassTally:
 
 def verify_design(design: DesignInstance, mode: str = "full",
                   sample: int = 10_000, seed: int = 0,
-                  threads: int = 1,
-                  budget: int = EXPANSION_BUDGET) -> VerificationReport:
+                  threads: int = 1) -> VerificationReport:
     """Check 2-subspace coverage against the design's claims.
 
     Full mode checks every 2-subspace of the ambient space; sampled mode
@@ -582,7 +579,7 @@ def verify_design(design: DesignInstance, mode: str = "full",
         counted = _ImplicitCoverage(design).coverage(pairs)
         n_blocks = block_count(design)
     else:
-        counts, n_blocks = coverage_counter(design, threads, budget)
+        counts, n_blocks = coverage_counter(design, threads)
         qv = q ** v
         counted = ((rows, counts[rows[0] * qv + rows[1]]) for rows in pairs)
     for rows, got in counted:
@@ -591,8 +588,7 @@ def verify_design(design: DesignInstance, mode: str = "full",
 
 
 def verify_gdd(design: DesignInstance, mode: str = "full",
-               sample: int = 10_000, seed: int = 0, threads: int = 1,
-               budget: int = EXPANSION_BUDGET) -> VerificationReport:
+               sample: int = 10_000, seed: int = 0, threads: int = 1) -> VerificationReport:
     """verify_design on a gdd instance, which must carry groups.
 
     The verification itself checks that the groups partition the space.
@@ -601,8 +597,7 @@ def verify_gdd(design: DesignInstance, mode: str = "full",
         raise ValueError("verify_gdd needs a gdd instance")
     if not _design_groups(design):
         raise ValueError("gdd instance has no group set")
-    return verify_design(design, mode=mode, sample=sample, seed=seed,
-                         threads=threads, budget=budget)
+    return verify_design(design, mode=mode, sample=sample, seed=seed, threads=threads)
 
 
 @lru_cache(maxsize=1)  # the loader's check and the verification share one build
@@ -698,7 +693,7 @@ def h_orbit_decomposition(seed: DesignInstance) -> list[LabelWeight]:
     remaining = dict(seed.blocks.items)
     out: list[LabelWeight] = []
     while remaining:
-        rows = next(iter(sorted(remaining)))
+        rows = min(remaining)
         members = list(action.cycle(rows))
         mults = {remaining.get(m, 0) for m in members}
         if len(mults) != 1:
@@ -749,8 +744,7 @@ def build_pbd(seed: DesignInstance, m: int, k: int,
 # breaking up blocks
 
 def break_blocks(pbd: DesignInstance,
-                 ingredients: dict[int, DesignInstance],
-                 budget: int = EXPANSION_BUDGET) -> DesignInstance:
+                 ingredients: dict[int, DesignInstance]) -> DesignInstance:
     """Replace every block by a copy of an ingredient design on it.
 
     Each ingredient for dimension u must be a 2-design on GF(q)^u with a
@@ -781,11 +775,10 @@ def break_blocks(pbd: DesignInstance,
         raise ValueError("the input design must claim a coverage count")
     q, v = pbd.q, pbd.v
     ops = vector_ops(q, v)
-    expanded_ing = {u: list(expand_blocks(ingredients[u], budget=budget))
-                    for u in pbd.K}
+    expanded_ing = {u: list(expand_blocks(ingredients[u])) for u in pbd.K}
 
     def transplanted() -> Iterator[tuple[tuple[int, ...], int]]:
-        for rows, mult in expand_blocks(pbd, budget=budget):
+        for rows, mult in expand_blocks(pbd):
             span = ops.span(rows)
             for ing_rows, ing_mult in expanded_ing[len(rows)]:
                 yield ops.rref([span[c] for c in ing_rows]), mult * ing_mult
@@ -799,24 +792,19 @@ def break_blocks(pbd: DesignInstance,
 # ---------------------------------------------------------------------------
 # filling holes
 
-def canonical_hole(q: int, g_dim: int, n: int) -> Subspace:
-    """The last-n-coordinates subspace of GF(q)^(g_dim + n)."""
-    ops = vector_ops(q, g_dim + n)
-    return Subspace(q, g_dim + n, tuple(ops.qpow[g_dim + j] for j in range(n)))
-
-
-def fill_holes(gdd: DesignInstance, master: DesignInstance,
-               hole_dim: int, hole: Subspace | None = None,
+def fill_holes(gdd: DesignInstance, master: DesignInstance, hole_dim: int,
                verify_mode: str = "full", threads: int = 1,
-               budget: int = EXPANSION_BUDGET,
                sample: int = 10_000, seed: int = 0,
                ) -> tuple[DesignInstance, VerificationReport]:
     """Glue one master-design copy per group, all sharing a common hole.
 
     Preconditions are validated before assembly; the assembled collection is
     never trusted and is re-verified before being returned, with the report
-    attached.  The hole defaults to the last hole_dim coordinates of the
-    master's space.
+    attached.  The hole is the last hole_dim coordinates of the master's
+    space, and it goes to the last hole_dim coordinates of the output's: a
+    master row r lies in it iff r % q^g_dim == 0, and its image is
+    (r // q^g_dim)·q^v.  Both maps shift digits, so canonical rows stay
+    canonical.
     """
     if gdd.kind != "gdd":
         raise ValueError("first input must be a gdd instance")
@@ -844,66 +832,56 @@ def fill_holes(gdd: DesignInstance, master: DesignInstance,
         raise ValueError(
             f"master coverage {master.claimed_lambda} != q^(n(k-2)) * lambda "
             f"= {lam_expected}")
-    if hole is None:
-        hole = canonical_hole(q, g_dim, n)
-    if hole.q != q or hole.v != master.v or hole.dim != n:
-        raise ValueError("hole must be an n-subspace of the master's space")
-    # packed coordinates, w.r.t. the hole basis, of each vector of the hole
-    hole_index = {x: c for c, x in enumerate(hole.vectors())}
-    inside = []
+    low, high = q ** g_dim, q ** gdd.v
+    inside = []  # in hole coordinates
     outside = []
-    for rows, mult in expand_blocks(master, budget=budget):
-        if all(r in hole_index for r in rows):
-            inside.append((rows, mult))
+    for rows, mult in expand_blocks(master):
+        if all(r % low == 0 for r in rows):
+            inside.append((tuple(r // low for r in rows), mult))
         else:
             outside.append((rows, mult))
-    _check_hole_restriction(q, n, k, hole, inside, lam_expected)
+    _check_hole_restriction(q, n, k, inside, lam_expected)
     v_out = gdd.v + n
     ops_out = vector_ops(q, v_out)
-    hole_images = tuple(q ** (gdd.v + j) for j in range(n))  # e_(v+j) rows
-    hole_span = ops_out.span(hole_images)
+    hole_images = tuple(high * q ** j for j in range(n))  # e_(v+j) rows
 
     def assembled() -> Iterator[tuple[tuple[int, ...], int]]:
-        for rows, mult in expand_blocks(gdd, budget=budget):
+        for rows, mult in expand_blocks(gdd):
             yield rows, mult  # digits extend with zeros into the new space
         for g in groups:
             span = ops_out.span(g.rows + hole_images)
             for rows, mult in outside:
                 yield ops_out.rref([span[r] for r in rows]), mult
         for rows, mult in inside:
-            yield ops_out.rref([hole_span[hole_index[r]] for r in rows]), mult
+            yield tuple(r * high for r in rows), mult
 
     out = DesignInstance(
         q=q, v=v_out, kind="design", K=(k,), claimed_lambda=lam_expected,
         blocks=make_explicit(assembled()))
     report = verify_design(out, mode=verify_mode, threads=threads,
-                           budget=budget, sample=sample, seed=seed)
+                           sample=sample, seed=seed)
     return out, report
 
 
-def _check_hole_restriction(q: int, n: int, k: int, hole: Subspace,
-                            inside: list, lam: int) -> None:
-    """The master blocks inside the hole must cover its 2-subspaces lam times."""
+def _check_hole_restriction(q: int, n: int, k: int, inside: list, lam: int) -> None:
+    """The master blocks inside the hole, in hole coordinates, must form a 2-design on
+    GF(q)^n that covers every 2-subspace lam times: verify_design checks it."""
     if n < 2:
         if inside:
             raise ValueError("blocks inside a hole of dimension < 2")
         return
-    restricted = DesignInstance(q=q, v=hole.v, kind="design", K=(k,), claimed_lambda=lam,
+    restricted = DesignInstance(q=q, v=n, kind="design", K=(k,), claimed_lambda=lam,
                                 blocks=ExplicitBlocks(tuple(inside)))
-    counts, _ = coverage_counter(restricted)
-    qv = q ** hole.v
-    for a, b in block_pair_keys(hole.rows, q, hole.v):
-        if counts[a * qv + b] != lam:
-            raise ValueError(
-                "master restricted to the hole is not a design with the "
-                f"expected coverage {lam}")
+    if not verify_design(restricted).passed:
+        raise ValueError(
+            "master restricted to the hole is not a design with the "
+            f"expected coverage {lam}")
 
 
 # ---------------------------------------------------------------------------
 # supplementary designs
 
-def supplementary(design: DesignInstance,
-                  budget: int = EXPANSION_BUDGET) -> DesignInstance:
+def supplementary(design: DesignInstance) -> DesignInstance:
     """All admissible blocks not in a simple design's block set.
 
     Each 2-subspace lies in sum_k [v-2, k-2]_q admissible blocks, so the
@@ -915,12 +893,12 @@ def supplementary(design: DesignInstance,
         raise ValueError("supplementary design needs a simple input")
     q, v = design.q, design.v
     chosen: set[tuple[int, ...]] = set()
-    for rows, mult in expand_blocks(design, budget=budget):
+    for rows, mult in expand_blocks(design):
         if rows in chosen:
             raise ValueError("supplementary design needs a simple input")
         chosen.add(rows)
     total = sum(gaussian_binomial(v, k, q) for k in design.K)
-    if total > budget:
+    if total > EXPANSION_BUDGET:
         raise ValueError("complement enumeration exceeds the budget")
 
     def complement() -> Iterator[tuple[tuple[int, ...], int]]:

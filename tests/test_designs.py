@@ -359,23 +359,34 @@ def test_fill_holes_shares_the_hole():
         fill_holes(gdd, master, 2)
 
 
-def test_fill_holes_inside_the_hole(gdd633):
-    # n = 3: a master on GF(2)^6 claiming 2^3 * 6 = 48 that holds the hole
-    # itself 48 times, so the hole restriction is a design, and 40 blocks
-    # elsewhere; each group gets the 40, the hole block is placed once
+@pytest.mark.parametrize("q", [2, 3])
+def test_fill_holes_inside_the_hole(gdd633, q):
+    # n = 3: a master on GF(q)^6 claiming q^3 * lambda (48 at q = 2) that holds
+    # the hole itself that many times, so the hole restriction is a design, and
+    # 40 blocks elsewhere; each group gets the 40, the hole block is placed once.
+    # [9,2]_3 is past PAIR_SWEEP_BUDGET, so at q = 3 the output is sampled
     from oracles import fill_holes_blocks
-    hole = (8, 16, 32)
-    others = Random(3).sample([r for r in iter_rref_bases(6, 3, 2) if r != hole], 40)
-    master = DesignInstance(
-        q=2, v=6, kind="design", K=(3,), claimed_lambda=48,
-        blocks=make_explicit([(hole, 48)] + [(r, 1) for r in others]))
-    out, report = fill_holes(gdd633, master, 3)
-    assert out.v == 9 and block_count(out) == 504 + 48 + 9 * 40 == 912
-    want = fill_holes_blocks(list(expand_blocks(gdd633)), gdd633.groups,
-                             master.blocks.items, Subspace(2, 6, hole), 6)
+    gdd = gdd633 if q == 2 else build_gdd(2, 3, 3, 3, GddSelection.of({(2, 3): 1}))
+    lam = q ** 3 * gdd.claimed_lambda
+    hole = (q ** 3, q ** 4, q ** 5)
+    others = Random(3).sample([r for r in iter_rref_bases(6, 3, q) if r != hole], 40)
+
+    def master(hole_mult):
+        return DesignInstance(
+            q=q, v=6, kind="design", K=(3,), claimed_lambda=lam,
+            blocks=make_explicit([(hole, hole_mult)] + [(r, 1) for r in others]))
+
+    mode = "full" if q == 2 else "sampled"
+    out, report = fill_holes(gdd, master(lam), 3, verify_mode=mode, sample=500)
+    assert out.v == 9 and block_count(out) == {2: 504 + 48 + 9 * 40, 3: 19656 + 648 + 28 * 40}[q]
+    want = fill_holes_blocks(list(expand_blocks(gdd)), gdd.groups,
+                             master(lam).blocks.items, Subspace(q, 6, hole), 6)
     assert dict(out.blocks.items) == want
-    assert want[(64, 128, 256)] == 48  # the hole, moved to the last coordinates
-    assert report.checked == gaussian_binomial(9, 2, 2)
+    assert want[(q ** 6, q ** 7, q ** 8)] == lam  # the hole, moved to the last coordinates
+    assert report.checked == {2: gaussian_binomial(9, 2, 2), 3: 500}[q]
+    # one hole block short, the restriction to the hole under-covers its pairs
+    with pytest.raises(ValueError, match="restricted to the hole"):
+        fill_holes(gdd, master(lam - 1), 3, verify_mode=mode, sample=500)
 
 
 # -- supplementary designs -------------------------------------------------------------
@@ -890,13 +901,20 @@ def shard_design(request):
     return SHARD_DESIGNS[request.param]()
 
 
+def _shard_blocks(design, shard):
+    """Stream (rows, multiplicity) of the blocks of one shard: the flattened _block_runs."""
+    for tail, firsts, mult in designs._block_runs(design, shard):
+        for x in firsts:
+            yield (x, *tail), mult
+
+
 def test_expand_blocks_shards_partition_the_blocks(shard_design):
     whole = list(expand_blocks(shard_design))
-    assert list(expand_blocks(shard_design, shard=(0, 1))) == whole
+    assert list(_shard_blocks(shard_design, (0, 1))) == whole
     for n in range(2, 6):
         union = Counter()
         for i in range(n):
-            for rows, mult in expand_blocks(shard_design, shard=(i, n)):
+            for rows, mult in _shard_blocks(shard_design, (i, n)):
                 union[rows] += mult
         assert union == _multiset(whole)
 
@@ -946,10 +964,11 @@ def test_over_budget_sweep_fails_before_any_pool(gdd633, monkeypatch, threads):
         raise AssertionError("a pool started for an over-budget sweep")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(designs, "EXPANSION_BUDGET", 1000)
     with pytest.raises(ValueError, match=r"sweep over 1395 subspaces \(budget 1000\)"):
-        coverage_counter(gdd633, threads=threads, budget=1000)
+        coverage_counter(gdd633, threads=threads)
     with pytest.raises(ValueError, match=r"sweep over 1395 subspaces \(budget 1000\)"):
-        verify_gdd(gdd633, mode="full", threads=threads, budget=1000)
+        verify_gdd(gdd633, mode="full", threads=threads)
 
 
 def test_coverage_counter_caps_workers_at_cpu_count(gdd633, monkeypatch):
@@ -1085,8 +1104,8 @@ def test_pair_tally_matches_span_oracle_by_shard(shard_design, n):
     q, v = shard_design.q, shard_design.v
     total = Counter()
     for i in range(n):
-        items = list(expand_blocks(shard_design, shard=(i, n)))
-        tally = designs._sweep_shard(shard_design, (i, n), 10 ** 6)
+        items = list(_shard_blocks(shard_design, (i, n)))
+        tally = designs._sweep_shard(shard_design, (i, n))
         assert tally == (_span_oracle_tally(items, q, v), sum(m for _, m in items))
         total += tally[0]
     assert coverage_counter(shard_design) == (total, block_count(shard_design))
@@ -1156,12 +1175,12 @@ def test_pair_tally_of_runs_matches_per_block_tally(q, v):
     items = [(rows, rng.choice((1, 1, 2, 3, 4))) for k in (2, 3, 4) if k <= v
              for rows in iter_rref_bases(v, k, q) if rng.random() < 0.5]
     want = (_span_oracle_tally(items, q, v), sum(m for _, m in items))
-    runs = list(designs._block_runs(_explicit_in_order(q, v, items), 10 ** 6, (0, 1)))
+    runs = list(designs._block_runs(_explicit_in_order(q, v, items), (0, 1)))
     assert max(len(firsts) for _, firsts, _ in runs) > 1
     assert {m for *_, m in runs} == {1, 2, 3, 4}
     assert coverage_counter(_explicit_in_order(q, v, items)) == want
     rng.shuffle(items)
-    runs = list(designs._block_runs(_explicit_in_order(q, v, items), 10 ** 6, (0, 1)))
+    runs = list(designs._block_runs(_explicit_in_order(q, v, items), (0, 1)))
     assert max(len(firsts) for _, firsts, _ in runs) > 1
     assert coverage_counter(_explicit_in_order(q, v, items)) == want
 
@@ -1177,13 +1196,13 @@ def test_sweep_runs_with_omega_and_weights_match_per_block_tally(monkeypatch, n)
     design = replace(g, blocks=replace(g.blocks, labels=tuple(
         LabelWeight(lw.label, 2) for lw in g.blocks.labels)))
     for i in range(n):
-        runs = list(islice(designs._block_runs(design, 10 ** 6, (i, n)), 200))
+        runs = list(islice(designs._block_runs(design, (i, n)), 200))
         items = [((x, *tail), m) for tail, firsts, m in runs for x in firsts]
-        assert items == list(islice(expand_blocks(design, shard=(i, n)), len(items)))
+        assert items == list(islice(_shard_blocks(design, (i, n)), len(items)))
         assert all(rows == vector_ops(2, 9).rref(rows) for rows, _ in items)
         assert {m for *_, m in runs} == {1, 2}
         monkeypatch.setattr(designs, "_block_runs", lambda *args, runs=runs: iter(runs))
-        tally = designs._sweep_shard(design, (i, n), 10 ** 6)
+        tally = designs._sweep_shard(design, (i, n))
         monkeypatch.undo()
         assert tally == (_span_oracle_tally(items, 2, 9), sum(m for _, m in items))
 
