@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .atlas import check_block_dim, gl_atlas, gl_order
+from .atlas import OrbitLabel, check_block_dim, gl_atlas, gl_order
 from .incidence import brute_force_matrix, closed_form_matrix
 from .designfile import design_from_json_dict, design_to_json_dict
 from .designs import (DesignInstance, GddSelection, block_count, break_blocks,
@@ -37,7 +37,8 @@ def _read_design(path: str, strict: bool = True) -> DesignInstance:
 
 
 def _positive_int(text: str) -> int:
-    """An integer >= 1, for --sample and --threads (usage error otherwise)."""
+    """An integer >= 1, for --sample, --threads, --budget and --max-solutions
+    (usage error otherwise)."""
     try:
         n = int(text)
     except ValueError:
@@ -174,12 +175,13 @@ def cmd_stabilizer(args) -> int:
     print(f"stabilizer_order={order}")
     print(f"orbit_size={gl_order(atlas.m, atlas.Q) // order}")
     if args.brute_force:
-        labels = [lb for lb in atlas.orbit_labels(args.k)
-                  if lb.r == args.r and atlas.label_u(lb) == args.u]
-        if not labels:
+        orbits = [o for o in atlas.singer.orbit_representatives(args.r + 1)
+                  if o.u == args.u]
+        if not orbits:
             print("no orbit with the requested (r, u)", file=sys.stderr)
             return 2
-        brute = atlas.brute_force_stabilizer_order(atlas.realize(labels[0]))
+        label = OrbitLabel(args.k, args.k - 1, args.r, orbits[0].rep.rows)
+        brute = atlas.brute_force_stabilizer_order(atlas.realize(label))
         print(f"brute_force={brute}")
         if brute != order:
             print("MISMATCH between formula and brute force", file=sys.stderr)
@@ -300,14 +302,13 @@ def cmd_supplement(args) -> int:
 
 def cmd_km_solve(args) -> int:
     matrix = h_incidence_matrix(args.l, 2, args.k, args.q)
-    lengths = tuple(o.length for o in
-                    singer_action(args.l, args.q).orbit_representatives(args.k))
+    orbits = singer_action(args.l, args.q).orbit_representatives(args.k)
     result = kramer_mesner_solve(matrix, args.lam, budget=args.budget,
-                                 max_solutions=args.max_solutions,
-                                 weights=lengths)
+                                 max_solutions=args.max_solutions)
     print(f"status={result.status} nodes={result.nodes} "
           f"solutions={len(result.solutions)}")
-    for sol, blocks in zip(result.solutions, result.solution_weights):
+    for sol in result.solutions:
+        blocks = sum(o.length for o, x in zip(orbits, sol) if x)
         print("  x=" + "".join(str(x) for x in sol) + f" blocks={blocks}")
     return 0
 
@@ -409,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--max-solutions", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=10_000_000)
+    p.add_argument("--max-solutions", type=_positive_int, default=None)
     p.set_defaults(func=cmd_km_solve)
 
     return parser

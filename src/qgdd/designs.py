@@ -13,7 +13,6 @@ the design's own orbit labels.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -237,10 +236,6 @@ class GddSelection:
         for (r, u), w in self.weights:
             if not 2 <= r <= k - 1:
                 raise ValueError(f"selection r={r} outside 2..k-1")
-            if u < 1:
-                raise ValueError(f"u={u} must be a positive integer")
-            if math.gcd(r + 1, l) % u:
-                raise ValueError(f"u={u} does not divide gcd(r+1, l)")
             bound = n_orbits_with_stabilizer(r + 1, u, l, q)
             if not 0 <= w <= bound:
                 raise ValueError(
@@ -263,36 +258,24 @@ def gdd_lambda(selection: GddSelection, m: int, l: int, k: int, q: int) -> int:
     return lam
 
 
-def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection,
-              chosen: dict[tuple[int, int], Sequence[int]] | None = None,
-              ) -> DesignInstance:
+def build_gdd(m: int, l: int, k: int, q: int, selection: GddSelection) -> DesignInstance:
     """Simple q-GDD over the Desarguesian spread from an orbit selection.
 
-    For each (r, u) the first w_(r,u) orbit labels in canonical order are
-    taken with multiplicity 1; `chosen` overrides the default with explicit
-    indices into the (r, u) label list, for exploring alternative designs.
-    Distinct orbits keep the design simple.
+    The (r, u) class is read off the Singer catalogue: its orbits of
+    (r+1)-subspaces of GF(q)^l with stabilizer GF(q^u)^*, in catalogue order.
+    The first w_(r,u) of them give mixed labels, each taken with multiplicity
+    1; distinct orbits keep the design simple.
     """
-    selection.validate(m, l, k, q)
-    atlas = gl_atlas(m, l, q)
+    lam = gdd_lambda(selection, m, l, k, q)
+    singer = singer_action(l, q)
     labels = []
     for (r, u), w in selection.weights:
-        if w == 0:
-            continue
-        available = [lb for lb in atlas.orbit_labels(k)
-                     if lb.r == r and atlas.label_u(lb) == u]
-        picks = range(w)
-        if chosen and (r, u) in chosen:
-            picks = chosen[(r, u)]
-            if len(set(picks)) != w:
-                raise ValueError(
-                    f"chosen indices for ({r},{u}) must be {w} distinct values")
-        for i in picks:
-            labels.append(LabelWeight(available[i], 1))
+        orbits = [o for o in singer.orbit_representatives(r + 1) if o.u == u]
+        for o in orbits[:w]:
+            labels.append(LabelWeight(OrbitLabel(k, k - 1, r, o.rep.rows), 1))
     blocks = ImplicitBlocks(m, l, k, tuple(labels), (), selection.omega_kk)
     return DesignInstance(
-        q=q, v=m * l, kind="gdd", K=(k,),
-        claimed_lambda=gdd_lambda(selection, m, l, k, q),
+        q=q, v=m * l, kind="gdd", K=(k,), claimed_lambda=lam,
         blocks=blocks, groups=tuple(desarguesian_spread(m, l, q)))
 
 

@@ -28,44 +28,22 @@ _TABLE_LIMIT = 1 << 20
 TABLE_CAP = 256  # largest side of an addition or scaling table
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def prime_power(q: int) -> tuple[int, int]:
-    """Decompose q = p^e with p prime, or raise ValueError."""
-    if q < 2:
+    """Decompose q = p^e with p prime, or raise ValueError.
+
+    A q above the field table limit is refused before it is factored.
+    """
+    if q > _TABLE_LIMIT:
+        raise ValueError(f"q={q} is above the field table limit {_TABLE_LIMIT}")
+    factors = factorize(q)
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    for d in range(2, q + 1):
-        if d * d > q:
-            break
-        if q % d == 0:
-            p = d
-            break
-    e = 0
-    n = q
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, e
+    p = next(iter(factors))
+    return p, factors[p]
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale inputs only)."""
+    """Prime factorization by trial division (desk-scale inputs only); {} below 2."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -175,8 +153,6 @@ def _monic_irreducibles(p: int, max_deg: int) -> tuple[tuple[int, ...], ...]:
 
 def _least_irreducible(p: int, e: int) -> tuple[int, ...]:
     """Monic irreducible of degree e over GF(p) with least low-coefficient encoding."""
-    if e == 1:
-        return (0, 1)
     divisors = [f for f in _monic_irreducibles(p, e // 2)]
     for low in range(p ** e):
         cand = unpack_coords(low, p, e) + (1,)
@@ -193,7 +169,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
+        if factorize(p) != {p: 1}:
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError(f"extension degree {e} must be positive")

@@ -219,7 +219,6 @@ class KmResult:
     nodes: int
     exhausted: bool
     stopped_by: str | None  # None | "budget" | "solution_cap"
-    solution_weights: tuple[int, ...] = ()
 
     @property
     def status(self) -> str:
@@ -228,14 +227,15 @@ class KmResult:
 
 def kramer_mesner_solve(matrix: LabeledIntMatrix, lam: int,
                         budget: int = 10_000_000,
-                        max_solutions: int | None = None,
-                        weights: tuple[int, ...] | None = None) -> KmResult:
+                        max_solutions: int | None = None) -> KmResult:
     """Depth-first search for 0-1 x with (matrix)x = lam * all-ones.
 
     Bounded by a node budget; an empty solution list with exhausted=False
-    means "none found within budget", not nonexistence.  Optional column
-    weights (orbit lengths, say) are totaled per solution.
+    means "none found within budget", not nonexistence.  The search stops
+    after max_solutions solutions (at least 1) when that is given.
     """
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError(f"max_solutions={max_solutions} must be at least 1")
     entries = matrix.entries
     n_rows, n_cols = matrix.shape
     if any(x < 0 for row in entries for x in row):
@@ -283,10 +283,4 @@ def kramer_mesner_solve(matrix: LabeledIntMatrix, lam: int,
         return ok
 
     finished = dfs(0)
-    totals = ()
-    if weights is not None:
-        if len(weights) != n_cols:
-            raise ValueError("need one weight per column")
-        totals = tuple(sum(w for w, x in zip(weights, sol) if x)
-                       for sol in solutions)
-    return KmResult(tuple(solutions), nodes, finished, stopped[0], totals)
+    return KmResult(tuple(solutions), nodes, finished, stopped[0])

@@ -98,6 +98,16 @@ def test_stabilizer_with_brute_force(capsys):
     assert "brute_force=7" in out
 
 
+def test_stabilizer_brute_force_realizes_an_orbit_of_the_asked_u(capsys):
+    # 2-subspaces of GF(2)^4 have u = 1 and u = 2; the u = 1 orbits come first
+    code, out, _ = run_cli(
+        ["stabilizer", "--m", "2", "--l", "4", "--k", "3", "--q", "2",
+         "--r", "1", "--u", "2", "--brute-force"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["stabilizer_order=12", "orbit_size=5100",
+                                "brute_force=12"]
+
+
 def test_incidence_both_agrees(capsys):
     code, out, _ = run_cli(
         ["incidence", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
@@ -416,6 +426,42 @@ def test_error_exit_2_on_bad_selection(capsys):
         ["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
          "--select", "2,3=9", "--out", "/tmp/never.json"], capsys)
     assert code == 2 and "error" in err
+
+
+def test_u_not_dividing_gcd_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["build-gdd", "--m", "2", "--l", "3", "--k", "3", "--q", "2",
+         "--select", "2,2=1", "--out", str(tmp_path / "never.json")], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: u=2 does not divide gcd(d, v)=3\n"
+    assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--max-solutions"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_km_solve_limits_below_one_exit_2(capsys, flag, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["km-solve", "--l", "7", "--k", "3", "--q", "2", "--lambda", "31",
+              flag, n])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"{flag}: must be an integer >= 1" in out.err
+
+
+def test_huge_q_is_refused_before_factoring(monkeypatch, capsys):
+    from qgdd import fields
+
+    factorize = fields.factorize
+
+    def bounded_factorize(n):
+        assert n <= 2 ** 20, f"factorize({n}) past the table limit"
+        return factorize(n)
+
+    monkeypatch.setattr(fields, "factorize", bounded_factorize)
+    code, out, err = run_cli(
+        ["singer-orbits", "--l", "3", "--d", "1", "--q", "1000000000000000003"], capsys)
+    assert code == 2 and out == ""
+    assert "above the field table limit" in err
 
 
 @pytest.mark.parametrize("u", ["-1", "0"])

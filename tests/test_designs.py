@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from qgdd import designs
-from qgdd.atlas import GlAtlas
+from qgdd.atlas import GlAtlas, OrbitLabel
 from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           ImplicitBlocks, LabelWeight, block_count,
                           block_pair_keys, break_blocks, build_gdd, build_pbd,
@@ -15,6 +15,7 @@ from qgdd.designs import (DesignInstance, ExplicitBlocks, GddSelection,
                           supplementary, verify_design,
                           verify_gdd)
 from qgdd.designfile import design_from_json_dict, design_to_json_dict
+from qgdd.singer import orbit_representatives
 from qgdd.subspaces import (Subspace, gaussian_binomial, intersection_dim,
                             iter_rref_bases, iter_rref_runs, vector_ops)
 
@@ -712,15 +713,26 @@ def test_group_partition_errors_at_verify(gdd633, how, message, mode):
 
 
 def test_build_gdd_explicit_label_choice():
-    # choosing a different orbit than the canonical first one
-    at_params = (2, 7, 3, 2)
-    sel = GddSelection.of({(2, 1): 1})
-    default = build_gdd(*at_params, sel)
-    alt = build_gdd(*at_params, sel, chosen={(2, 1): (5,)})
+    # another orbit of the (2, 1) class than the first one gives a GDD as well
+    from dataclasses import replace
+    default = build_gdd(2, 7, 3, 2, GddSelection.of({(2, 1): 1}))
+    orbit = [o for o in orbit_representatives(7, 3, 2) if o.u == 1][5]
+    label = LabelWeight(OrbitLabel(3, 2, 2, orbit.rep.rows), 1)
+    alt = replace(default, blocks=replace(default.blocks, labels=(label,)))
     assert default.blocks.labels != alt.blocks.labels
-    assert default.claimed_lambda == alt.claimed_lambda == 42
-    with pytest.raises(ValueError):
-        build_gdd(*at_params, sel, chosen={(2, 1): (0, 1)})
+    report = verify_gdd(alt, mode="sampled", sample=200, seed=5)
+    assert report.passed and dict(report.lambda_by_class)["span2"] == 42
+
+
+def test_build_gdd_reads_each_class_off_the_catalogue():
+    # at l = 6 the 3-subspaces have u = 1 and u = 3, so each class is a
+    # strict part of the catalogue; the oracle filters the atlas labels by u
+    design = build_gdd(2, 6, 3, 2, GddSelection.of({(2, 1): 2, (2, 3): 1}))
+    atlas = GlAtlas(2, 6, 2)
+    by_u = {u: [lb for lb in atlas.orbit_labels(3) if lb.r == 2 and atlas.label_u(lb) == u]
+            for u in (1, 3)}
+    assert [lw.label for lw in design.blocks.labels] == by_u[1][:2] + by_u[3][:1]
+    assert {lw.multiplicity for lw in design.blocks.labels} == {1}
 
 
 def test_gdd_odd_characteristic_full():

@@ -14,13 +14,23 @@ from oracles import add_per_coordinate, apply_matrix, element_order, random_gl
 
 
 def test_prime_power():
-    assert prime_power(8) == (2, 3)
-    assert prime_power(81) == (3, 4)
-    assert prime_power(7) == (7, 1)
-    with pytest.raises(ValueError):
-        prime_power(12)
-    with pytest.raises(ValueError):
-        prime_power(1)
+    for q, pair in ((2, (2, 1)), (8, (2, 3)), (81, (3, 4)), (7, (7, 1)), (2 ** 20, (2, 20))):
+        assert prime_power(q) == pair
+    for q in (0, 1, -3, 12):
+        with pytest.raises(ValueError, match=f"^{q} is not a prime power$"):
+            prime_power(q)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_finite_field_refuses_a_composite_characteristic(p):
+    with pytest.raises(ValueError, match=f"^characteristic {p} is not prime$"):
+        finite_field(p, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_least_irreducible_of_degree_one_is_x(p):
+    from qgdd.fields import _least_irreducible
+    assert _least_irreducible(p, 1) == (0, 1)
 
 
 def test_build_tower_smallest():

@@ -294,14 +294,22 @@ def test_km_solutions_reverify():
             assert counts[rows] == lam
 
 
-def test_km_solve_with_weights():
-    m = h_incidence_matrix(7, 2, 3, 2)
-    lengths = tuple(o.length for o in orbit_representatives(7, 3, 2))
-    res = kramer_mesner_solve(m, 31, budget=100_000, max_solutions=1,
-                              weights=lengths)
-    assert res.solution_weights == (gaussian_binomial(7, 3, 2),)
-    with pytest.raises(ValueError):
-        kramer_mesner_solve(m, 31, weights=(1, 2))
+def test_km_solve_with_weights(capsys):
+    # km-solve totals the orbit lengths of a solution: all of [7,3]_2 here
+    from qgdd.cli import main
+    code = main(["km-solve", "--l", "7", "--k", "3", "--q", "2", "--lambda", "31",
+                 "--budget", "100000", "--max-solutions", "1"])
+    out = capsys.readouterr().out
+    assert code == 0 and "solutions=1" in out
+    assert out.splitlines()[1].endswith(" blocks=11811")
+    assert gaussian_binomial(7, 3, 2) == 11811
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_km_solve_refuses_a_solution_cap_below_one(cap):
+    m = h_incidence_matrix(3, 2, 3, 2)
+    with pytest.raises(ValueError, match=f"max_solutions={cap} must be at least 1"):
+        kramer_mesner_solve(m, 1, max_solutions=cap)
 
 
 from hypothesis import given, settings
